@@ -2,9 +2,9 @@
 
 Subcommands: check, transform, loglik, prior, posterior, sample, cut, verify.
 Exit codes: 0 success, 1 user error (bad files, bad flags, non-decomposable
-model), 2 internal defect.  JSON output renders floats with 17 significant
-digits; the DECOTAB_TOL environment variable overrides the default tolerance
-used by `verify`.
+model, model too large), 2 internal defect.  JSON output renders floats with
+17 significant digits; the DECOTAB_TOL environment variable overrides the
+default tolerance used by `verify`.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .priors import (
     reference_prior_theta,
     sample_posterior,
 )
+from .tables import TableTooLargeError
 
 KINDS = ("pcond", "xi", "cond", "cliq", "mod")
 
@@ -66,7 +67,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (UserError, FileFormatError, NotDecomposableError, NotACutError) as exc:
+    except (
+        UserError, FileFormatError, NotDecomposableError, NotACutError, TableTooLargeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

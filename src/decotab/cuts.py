@@ -24,15 +24,9 @@ from .graphs import (
     is_complete,
     perfect_order,
 )
-from .params import CondProbs, JointProbs, marginal_array, marginal_joint
+from .params import CondProbs, JointProbs, conditional_table, marginal_joint
 from .priors import DirichletBlock, DirichletBlocks, reference_prior_pcond
-from .tables import (
-    ContingencyTable,
-    LevelSpec,
-    iter_cells,
-    marginal_count,
-    merge_cells,
-)
+from .tables import ContingencyTable, LevelSpec, iter_cells, slice_table
 
 
 class NotACutError(ValueError):
@@ -146,28 +140,14 @@ class CutProbs:
         heads = []
         resids = []
         for comp in decomp.components:
-            c1 = comp.order.cliques[0]
-            q_c1 = marginal_array(p, c1)
-            q_bd = marginal_array(p, comp.bd)
-            head: dict[tuple[int, ...], np.ndarray] = {}
-            for b_cell in iter_cells(comp.bd, p.spec):
-                idx = tuple(
-                    b_cell.level_of(v) if v in comp.bd else slice(None) for v in c1
-                )
-                head[b_cell.levels] = q_c1[idx] / q_bd[b_cell.levels]
-            heads.append(head)
+            q = conditional_table(p, comp.bd, comp.head_free)
+            heads.append({b.levels: q[b.levels] for b in iter_cells(comp.bd, p.spec)})
             resid: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-            for j in range(2, comp.order.k + 1):
-                s_vars = comp.order.separators[j - 1]
-                c_vars = comp.order.cliques[j - 1]
-                q_c = marginal_array(p, c_vars)
-                q_s = marginal_array(p, s_vars)
-                for s_cell in iter_cells(s_vars, p.spec):
-                    idx = tuple(
-                        s_cell.level_of(v) if v in s_vars else slice(None)
-                        for v in c_vars
-                    )
-                    resid[(j, s_cell.levels)] = q_c[idx] / q_s[s_cell.levels]
+            for j in range(1, comp.order.k):
+                s_vars = comp.order.separators[j]
+                q = conditional_table(p, s_vars, comp.order.residuals[j])
+                for s in iter_cells(s_vars, p.spec):
+                    resid[(j + 1, s.levels)] = q[s.levels]
             resids.append(resid)
         return cls(decomp, p.spec, a_part, tuple(heads), tuple(resids))
 
@@ -180,42 +160,25 @@ def cut_loglik(decomp: CutDecomposition, probs: CutProbs, t: ContingencyTable) -
     """
     if probs.decomp is not decomp and probs.decomp != decomp:
         raise ValueError("probability blocks belong to a different decomposition")
-    spec = t.spec
-    total = 0.0
+
+    def part(given, free, blocks) -> float:
+        # Every slice's counts come from one marginal count table.
+        n = slice_table(t.counts, t.spec, given, free)
+        return sum(float((n[s] * np.log(q)).sum()) for s, q in blocks.items())
+
+    def clique(blocks, l):
+        return {s: q for (m, s), q in blocks.items() if m == l + 1}
+
     order_a = decomp.order_a
-    a_spec = probs.a_part.spec
-    c1 = order_a.cliques[0]
-    block = probs.a_part.blocks[(1, ())]
-    for cell in iter_cells(c1, a_spec):
-        n = marginal_count(t, cell)
-        if n:
-            total += n * float(np.log(block[cell.levels]))
-    for l in range(2, order_a.k + 1):
-        s_vars = order_a.separators[l - 1]
-        r_vars = order_a.residuals[l - 1]
-        for s_cell in iter_cells(s_vars, a_spec):
-            block = probs.a_part.blocks[(l, s_cell.levels)]
-            for r_cell in iter_cells(r_vars, a_spec):
-                n = marginal_count(t, merge_cells(spec, s_cell, r_cell))
-                if n:
-                    total += n * float(np.log(block[r_cell.levels]))
+    total = 0.0
+    for l in range(order_a.k):
+        total += part(order_a.separators[l], order_a.residuals[l],
+                      clique(probs.a_part.blocks, l))
     for comp, head, resid in zip(decomp.components, probs.heads, probs.resids):
-        head_vars = comp.head_free
-        for b_cell in iter_cells(comp.bd, spec):
-            block = head[b_cell.levels]
-            for h_cell in iter_cells(head_vars, spec):
-                n = marginal_count(t, merge_cells(spec, b_cell, h_cell))
-                if n:
-                    total += n * float(np.log(block[h_cell.levels]))
-        for j in range(2, comp.order.k + 1):
-            s_vars = comp.order.separators[j - 1]
-            r_vars = comp.order.residuals[j - 1]
-            for s_cell in iter_cells(s_vars, spec):
-                block = resid[(j, s_cell.levels)]
-                for r_cell in iter_cells(r_vars, spec):
-                    n = marginal_count(t, merge_cells(spec, s_cell, r_cell))
-                    if n:
-                        total += n * float(np.log(block[r_cell.levels]))
+        total += part(comp.bd, comp.head_free, head)
+        for j in range(1, comp.order.k):
+            total += part(comp.order.separators[j], comp.order.residuals[j],
+                          clique(resid, j))
     return total
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import CliqueOrder, LabeledGraph
 from .params import JointProbs, ParamKey, ThetaMap
-from .tables import CellIndex, ContingencyTable, LevelSpec
+from .tables import CellIndex, ContingencyTable, LevelSpec, TableTooLargeError
 
 ORACLE_MAX_CELLS = 10**6
 
@@ -26,7 +26,7 @@ def _guard(spec: LevelSpec) -> None:
     for m in spec.sizes:
         n *= m
     if n > ORACLE_MAX_CELLS:
-        raise ValueError(f"oracle refuses tables beyond {ORACLE_MAX_CELLS} cells")
+        raise TableTooLargeError(f"oracle refuses tables beyond {ORACLE_MAX_CELLS} cells")
 
 
 def _all_subsets(items: Sequence[str], with_empty: bool) -> list[tuple[str, ...]]:
@@ -256,6 +256,7 @@ def run_verification(
             g, spec = load_fixture(graph_source)
         else:
             g, spec = load_model(graph_source)
+        _guard(spec)
         models.append((graph_source, g, perfect_order(g), spec))
 
     checks: list[CheckResult] = []

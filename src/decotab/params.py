@@ -15,31 +15,38 @@ be coordinatized four ways:
   subset-sum (zeta) transform of ``cond``, and the coordinate system in which
   blocks are plain multinomial logits.
 
-All transforms here are exact bijections, evaluated with log-sum-exp
-stabilization where sums of exponentials occur.  Alternating-sign subset sums
-are evaluated literally, term by term.
+Each kind is held as one array per clique l over the axes S_l + R_l
+(separator, then residual).  The entry at cell j is the coordinate on the
+support of j (where j is off baseline), per separator slice j_S for ``cond``
+and ``xi``.  Alternating subset sums are then Möbius transforms (subtract the
+baseline slice, axis by axis) and subset sums zeta transforms (add it back):
+``mod`` is the Möbius transform of log p, ``xi`` is log q - log q(baseline)
+per slice, ``cond`` its Möbius transform along the residual axes and ``cliq``
+that of ``cond`` along the separator axes.  A block's log normalizer is the
+log-sum-exp of its zeta transform.  All transforms are exact bijections.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import CliqueOrder, LabeledGraph, is_complete
+from .graphs import CliqueOrder, LabeledGraph, is_complete, perfect_order
 from .tables import (
     MAX_TABLE_CELLS,
     CellIndex,
     ContingencyTable,
     LevelSpec,
+    TableTooLargeError,
     iter_cells,
-    marginal_count,
     merge_cells,
     nonempty_subsets,
-    subsets_with_empty,
+    slice_table,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -47,8 +54,6 @@ PROB_SUM_TOL = 1e-12
 
 def default_markov_tol() -> float:
     """Markov-validation tolerance: 1e-8 unless DECOTAB_MARKOV_TOL overrides it."""
-    import os
-
     return float(os.environ.get("DECOTAB_MARKOV_TOL", "1e-8"))
 
 
@@ -62,16 +67,6 @@ class MarkovViolationError(ValueError):
             f"non-complete set {worst_set} carries interaction {worst_value:.3e}"
             f" (tolerance {tol:.1e})"
         )
-
-
-class InternalDefectError(RuntimeError):
-    """An internal consistency guarantee failed; not a user error."""
-
-
-def logsumexp(values: np.ndarray) -> float:
-    arr = np.asarray(values, dtype=float)
-    m = float(arr.max())
-    return m + math.log(float(np.exp(arr - m).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -181,66 +176,57 @@ class CondProbs:
 
     def joint(self) -> JointProbs:
         """Multiply the blocks back into the joint table they factorize."""
-        spec = self.spec
-        full = np.ones(spec.shape, dtype=float)
-        full *= _expand(spec, self.order.cliques[0], self.blocks[(1, ())])
-        for l in range(2, self.order.k + 1):
-            s_vars = self.order.separators[l - 1]
-            r_vars = self.order.residuals[l - 1]
-            both = spec.sort(s_vars + r_vars)
-            cond = np.empty(tuple(spec.size(v) for v in both), dtype=float)
-            for s_cell in iter_cells(s_vars, spec):
-                idx = tuple(
-                    s_cell.level_of(v) if v in s_vars else slice(None) for v in both
-                )
-                cond[idx] = self.blocks[(l, s_cell.levels)]
-            full *= _expand(spec, both, cond)
-        return JointProbs(spec, full)
+        full = np.ones(self.spec.shape)
+        for l in range(self.order.k):
+            vars_ = self.order.separators[l] + self.order.residuals[l]
+            canonical = sorted(range(len(vars_)), key=lambda i: self.spec.index(vars_[i]))
+            shape = [self.spec.size(v) if v in vars_ else 1 for v in self.spec.names]
+            full *= _stacked(self, l).transpose(canonical).reshape(shape)
+        return JointProbs(self.spec, full)
 
     @classmethod
     def from_joint(cls, p: JointProbs, order: CliqueOrder) -> "CondProbs":
-        blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        blocks[(1, ())] = marginal_array(p, order.cliques[0])
-        for l in range(2, order.k + 1):
-            s_vars = order.separators[l - 1]
-            q_c = marginal_array(p, order.cliques[l - 1])
-            q_s = marginal_array(p, s_vars)
-            c_vars = order.cliques[l - 1]
-            for s_cell in iter_cells(s_vars, p.spec):
-                idx = tuple(
-                    s_cell.level_of(v) if v in s_vars else slice(None) for v in c_vars
-                )
-                blocks[(l, s_cell.levels)] = q_c[idx] / q_s[s_cell.levels]
+        blocks = {}
+        for l in range(order.k):
+            s_vars = order.separators[l]
+            q = conditional_table(p, s_vars, order.residuals[l])
+            for s in iter_cells(s_vars, p.spec):
+                blocks[(l + 1, s.levels)] = q[s.levels]
         return cls(order, p.spec, blocks)
 
 
 def block_keys(order: CliqueOrder, spec: LevelSpec) -> list[tuple[int, tuple[int, ...]]]:
     """Canonical block ordering: first clique, then slices by clique and cell."""
-    keys: list[tuple[int, tuple[int, ...]]] = [(1, ())]
-    for l in range(2, order.k + 1):
-        for s_cell in iter_cells(order.separators[l - 1], spec):
-            keys.append((l, s_cell.levels))
-    return keys
+    return [
+        (l + 1, s.levels) for l in range(order.k) for s in iter_cells(order.separators[l], spec)
+    ]
 
 
-def _expand(spec: LevelSpec, vars_: Sequence[str], arr: np.ndarray) -> np.ndarray:
-    """Reshape a sub-table array for broadcasting against the full table."""
-    shape = [1] * len(spec.names)
-    for v in vars_:
-        shape[spec.index(v)] = spec.size(v)
-    return arr.reshape(shape)
+def _stacked(cp: CondProbs, l: int) -> np.ndarray:
+    """The blocks of clique ``l`` (0-based) as one array over S_l + R_l."""
+    s_vars = cp.order.separators[l]
+    out = np.empty(_shape(cp.spec, s_vars + cp.order.residuals[l]))
+    for s in iter_cells(s_vars, cp.spec):
+        out[s.levels] = cp.blocks[(l + 1, s.levels)]
+    return out
 
 
-def marginal_array(p: JointProbs, vars_: Sequence[str]) -> np.ndarray:
-    """Marginal probability table over ``vars_`` with axes in canonical order."""
-    keep = {p.spec.index(v) for v in vars_}
-    drop = tuple(i for i in range(len(p.spec.names)) if i not in keep)
-    return p.p.sum(axis=drop) if drop else p.p.copy()
+def _shape(spec: LevelSpec, vars_: Sequence[str]) -> tuple[int, ...]:
+    return tuple(spec.size(v) for v in vars_)
+
+
+def conditional_table(
+    p: JointProbs, given: Sequence[str], free: Sequence[str]
+) -> np.ndarray:
+    """q(free | given) stacked over the cells of ``given``, axes ``given + free``."""
+    q = slice_table(p.p, p.spec, given, free)
+    q /= q.sum(axis=tuple(range(len(given), q.ndim)), keepdims=True)
+    return q
 
 
 def marginal_joint(p: JointProbs, vars_: Sequence[str]) -> JointProbs:
     sub = p.spec.restrict(vars_)
-    return JointProbs(sub, marginal_array(p, sub.names))
+    return JointProbs(sub, slice_table(p.p, p.spec, (), sub.names))
 
 
 def marginal_prob(p: JointProbs, cell: CellIndex) -> float:
@@ -258,66 +244,62 @@ def conditional_prob(p: JointProbs, cell: CellIndex, given: CellIndex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Interaction extraction (alternating sums on a log table)
+# Axis operations on coordinate arrays (all in place)
 
 
-def _loglin(logq: np.ndarray, table_vars: tuple[str, ...], cell: CellIndex) -> float:
-    """Alternating-sign subset sum defining one interaction coordinate.
+def _mobius(a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Subtract the baseline slice along each axis: alternating subset sums."""
+    for ax in axes:
+        view = np.moveaxis(a, ax, 0)
+        view[1:] -= view[:1]
+    return a
 
-    ``logq`` is the log of a probability table with axes ``table_vars``;
-    ``cell`` is a starred cell of a subset of those variables.  Evaluated
-    literally, one subset at a time.
+
+def _zeta(a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Add the baseline slice back along each axis: subset sums; undoes _mobius."""
+    for ax in axes:
+        view = np.moveaxis(a, ax, 0)
+        view[1:] += view[:1]
+    return a
+
+
+def _margins(a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Put each axis's total into its baseline slice (the adjoint of _zeta).
+
+    On cell counts, the entry at j becomes the count of the marginal cell j
+    restricted to its support on ``axes``.
     """
-    total = 0.0
-    d = cell.vars
-    for f in subsets_with_empty(d):
-        inside = set(f)
-        idx = tuple(
-            cell.level_of(v) if v in inside else 0 for v in table_vars
-        )
-        sign = -1.0 if (len(d) - len(f)) % 2 else 1.0
-        total += sign * float(logq[idx])
-    return total
+    for ax in axes:
+        view = np.moveaxis(a, ax, 0)
+        view[0] = view.sum(axis=0)
+    return a
 
 
-def _block_thetas(
-    logq: np.ndarray,
-    table_vars: tuple[str, ...],
-    spec: LevelSpec,
-    given_vars: tuple[str, ...] = (),
-    given_cell: tuple[int, ...] = (),
-) -> dict[ParamKey, float]:
-    out: dict[ParamKey, float] = {}
-    for d in nonempty_subsets(table_vars):
-        for cell in iter_cells(d, spec, starred=True):
-            out[ParamKey(d, cell.levels, given_vars, given_cell)] = _loglin(
-                logq, table_vars, cell
-            )
-    return out
+def _lse(a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """log-sum-exp over ``axes``, max-shifted, keeping them as length-1 axes."""
+    axes = tuple(axes)
+    m = a.max(axis=axes, keepdims=True)
+    t = np.asarray(a - m)  # an array even when 0-d
+    np.exp(t, out=t)
+    return m + np.log(t.sum(axis=axes, keepdims=True))
 
 
-def _block_cumulant(
-    theta_of_cell: Callable[[tuple[str, ...], CellIndex], float],
-    table_vars: tuple[str, ...],
-    spec: LevelSpec,
-) -> float:
-    """log of 1 + the sum over non-baseline block cells of exp(subset sums).
+def _softmax(a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    a -= _lse(a, axes)
+    return np.exp(a, out=a)
 
-    ``theta_of_cell(f, cell_f)`` supplies the interaction for a starred
-    sub-cell; the all-baseline cell contributes the 1.
-    """
-    exponents = []
-    for cell in iter_cells(table_vars, spec):
-        supp = cell.support()
-        s = 0.0
-        for f in nonempty_subsets(supp):
-            s += theta_of_cell(f, cell.restrict(f))
-        exponents.append(s)
-    return logsumexp(np.array(exponents))
+
+def _sep_axes(order: CliqueOrder, l: int) -> range:
+    return range(len(order.separators[l]))
+
+
+def _res_axes(order: CliqueOrder, l: int) -> range:
+    ns = len(order.separators[l])
+    return range(ns, ns + len(order.residuals[l]))
 
 
 # ---------------------------------------------------------------------------
-# Canonical key enumeration
+# Canonical keys and the per-clique array layout
 
 
 def home_sets(order: CliqueOrder, l: int) -> list[tuple[str, ...]]:
@@ -326,36 +308,88 @@ def home_sets(order: CliqueOrder, l: int) -> list[tuple[str, ...]]:
     return [e for e in nonempty_subsets(order.cliques[l]) if set(e) & resid]
 
 
-def mod_keys(order: CliqueOrder, spec: LevelSpec) -> list[ParamKey]:
-    """All (complete set, starred cell) coordinates, grouped by home clique."""
-    keys = []
+# ``cliq`` shares the ``mod`` layout and ``xi`` the ``cond`` one.
+_LAYOUT = {"mod": "mod", "cliq": "mod", "cond": "cond", "xi": "cond"}
+
+
+def _flat_cells(keys: Sequence[ParamKey], axes: tuple[str, ...], spec: LevelSpec) -> np.ndarray:
+    """Flat index, in an array over ``axes``, of each key's cell (baseline off its sets)."""
+    pos = {v: i for i, v in enumerate(axes)}
+    cells = np.zeros((len(keys), len(axes)), dtype=np.intp)
+    for row, key in enumerate(keys):
+        for v, x in zip(key.given_vars + key.vars, key.given_cell + key.cell):
+            cells[row, pos[v]] = x
+    return np.ravel_multi_index(tuple(cells.T), _shape(spec, axes))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(
+    layout: str, order: CliqueOrder, spec: LevelSpec
+) -> tuple[tuple[tuple[ParamKey, ...], np.ndarray], ...]:
+    """Per clique: its keys in canonical order and their flat cells in its array.
+
+    ``mod`` arrays hold the sets with home clique l; ``cond`` arrays hold,
+    for each separator cell (first variable fastest), the sets inside R_l.
+    """
+    out = []
     for l in range(order.k):
-        for e in home_sets(order, l):
-            for cell in iter_cells(e, spec, starred=True):
-                keys.append(ParamKey(e, cell.levels))
-    return keys
+        s_vars, r_vars = order.separators[l], order.residuals[l]
+        if layout == "mod":
+            keys = [
+                ParamKey(e, c.levels)
+                for e in home_sets(order, l)
+                for c in iter_cells(e, spec, starred=True)
+            ]
+        else:
+            keys = [
+                ParamKey(d, c.levels, s_vars, s.levels)
+                for s in iter_cells(s_vars, spec)
+                for d in nonempty_subsets(r_vars)
+                for c in iter_cells(d, spec, starred=True)
+            ]
+        flat = _flat_cells(keys, s_vars + r_vars, spec)
+        flat.flags.writeable = False
+        out.append((tuple(keys), flat))
+    return tuple(out)
 
 
-def cond_keys(order: CliqueOrder, spec: LevelSpec) -> list[ParamKey]:
-    keys = []
-    for d in nonempty_subsets(order.cliques[0]):
-        for cell in iter_cells(d, spec, starred=True):
-            keys.append(ParamKey(d, cell.levels))
-    for l in range(2, order.k + 1):
-        s_vars = order.separators[l - 1]
-        for s_cell in iter_cells(s_vars, spec):
-            for d in nonempty_subsets(order.residuals[l - 1]):
-                for cell in iter_cells(d, spec, starred=True):
-                    keys.append(ParamKey(d, cell.levels, s_vars, s_cell.levels))
-    return keys
+def _pack(
+    values: dict[ParamKey, float], layout: str, order: CliqueOrder, spec: LevelSpec
+) -> list[np.ndarray]:
+    """Per-clique arrays of a coordinate or statistic map; other cells hold 0."""
+    arrays = []
+    for l, (keys, flat) in enumerate(_layout(layout, order, spec)):
+        a = np.zeros(_shape(spec, order.separators[l] + order.residuals[l]))
+        try:
+            a.flat[flat] = [values[k] for k in keys]
+        except KeyError as exc:
+            raise ValueError(
+                f"missing coordinate (set, cell, slice set, slice cell)"
+                f" {tuple(exc.args[0])} for clique {l + 1}"
+            ) from None
+        arrays.append(a)
+    return arrays
+
+
+def _unpack(
+    arrays: list[np.ndarray], layout: str, order: CliqueOrder, spec: LevelSpec
+) -> dict[ParamKey, float]:
+    """Inverse of :func:`_pack`: the map in canonical key order."""
+    values: dict[ParamKey, float] = {}
+    for a, (keys, flat) in zip(arrays, _layout(layout, order, spec)):
+        values.update(zip(keys, a.reshape(-1)[flat].tolist()))
+    return values
 
 
 def canonical_keys(kind: str, order: CliqueOrder, spec: LevelSpec) -> list[ParamKey]:
-    if kind in ("mod", "cliq"):
-        return mod_keys(order, spec)
-    if kind in ("cond", "xi"):
-        return cond_keys(order, spec)
-    raise ValueError(f"unknown parametrization kind {kind!r}")
+    """Coordinate keys of one kind, in canonical order.
+
+    ``mod``/``cliq``: (complete set, starred cell) grouped by home clique;
+    ``cond``/``xi``: the first clique's sets, then each slice's residual sets.
+    """
+    if kind not in _LAYOUT:
+        raise ValueError(f"unknown parametrization kind {kind!r}")
+    return [k for keys, _ in _layout(_LAYOUT[kind], order, spec) for k in keys]
 
 
 def theta_vector(theta: ThetaMap, keys: Sequence[ParamKey]) -> np.ndarray:
@@ -368,6 +402,41 @@ def theta_from_vector(kind: str, keys: Sequence[ParamKey], vec: np.ndarray) -> T
     return ThetaMap(kind, {k: float(v) for k, v in zip(keys, vec)})
 
 
+def _expect_kind(theta: ThetaMap, kind: str) -> None:
+    if theta.kind != kind:
+        raise ValueError(f"expected a {kind!r} map, got {theta.kind!r}")
+
+
+def _transform(
+    theta: ThetaMap,
+    kind: str,
+    op: Callable[[np.ndarray, Sequence[int]], np.ndarray],
+    axes: Callable[[CliqueOrder, int], range],
+    order: CliqueOrder,
+    spec: LevelSpec,
+) -> ThetaMap:
+    """Apply ``op`` (_mobius or _zeta) along ``axes(order, l)`` of every clique's array."""
+    arrays = _pack(theta.values, _LAYOUT[theta.kind], order, spec)
+    for l, a in enumerate(arrays):
+        op(a, axes(order, l))
+    return ThetaMap(kind, _unpack(arrays, _LAYOUT[kind], order, spec))
+
+
+def _spec_of(theta: ThetaMap, order: CliqueOrder) -> LevelSpec:
+    """Level counts of a complete ``cond``/``xi`` map: each variable's top starred level + 1."""
+    top = dict.fromkeys(order.vertices, 0)
+    for key in theta.values:
+        for v, x in zip(key.vars, key.cell):
+            top[v] = max(top[v], x)
+    return LevelSpec(order.vertices, tuple(top[v] + 1 for v in order.vertices))
+
+
+def _on_support(s: CellIndex) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """A full separator cell as (its support, its levels there)."""
+    supp = s.support()
+    return supp, s.restrict(supp).levels
+
+
 # ---------------------------------------------------------------------------
 # mod <-> joint probabilities
 
@@ -378,67 +447,57 @@ def theta_mod_from_p(p: JointProbs, g: LabeledGraph) -> ThetaMap:
     The returned map also carries log p(baseline) as the derived scalar; it
     is a function of the free coordinates, not one of them.
     """
-    order = _order_for(g)
-    logp = np.log(p.p)
-    values = {}
-    for key in mod_keys(order, p.spec):
-        cell = CellIndex(key.vars, key.cell)
-        values[key] = _loglin(logp, p.spec.names, cell)
-    baseline = (0,) * len(p.spec.names)
-    return ThetaMap("mod", values, log_base=float(logp[baseline]))
+    names = p.spec.names
+    theta = _mobius(np.log(p.p), range(len(names))).reshape(-1)
+    keys = canonical_keys("mod", perfect_order(g), p.spec)
+    values = dict(zip(keys, theta[_flat_cells(keys, names, p.spec)].tolist()))
+    return ThetaMap("mod", values, log_base=float(theta[0]))
 
 
 def markov_residual(p: JointProbs, g: LabeledGraph) -> tuple[tuple[str, ...], float]:
     """Largest-magnitude interaction on a non-complete set, with its set.
 
-    Zero (to rounding) exactly when p is Markov with respect to g.
+    Zero (to rounding) exactly when p is Markov with respect to g.  Ties go
+    to the first set in :func:`nonempty_subsets` order.
     """
-    logp = np.log(p.p)
-    worst_set: tuple[str, ...] = ()
-    worst = 0.0
-    for d in nonempty_subsets(p.spec.names):
-        if len(d) < 2 or is_complete(g, d):
-            continue
-        for cell in iter_cells(d, p.spec, starred=True):
-            v = abs(_loglin(logp, p.spec.names, cell))
-            if v > worst:
-                worst, worst_set = v, d
-    return worst_set, worst
+    names, spec = p.spec.names, p.spec
+    theta = _mobius(np.log(p.p), range(len(names)))
+    np.abs(theta, out=theta)
+    levels = np.indices(spec.shape, sparse=True)
+    noncomplete = np.zeros(spec.shape, dtype=bool)
+    for i, j in itertools.combinations(range(len(names)), 2):
+        if not g.has_edge(names[i], names[j]):
+            noncomplete |= (levels[i] > 0) & (levels[j] > 0)
+    theta *= noncomplete
+    worst = float(theta.max())
+    if worst == 0.0:
+        return (), 0.0
+    supports = (tuple(np.flatnonzero(cell)) for cell in np.argwhere(theta == worst))
+    first = min(supports, key=lambda s: (len(s), s))
+    return tuple(names[i] for i in first), worst
 
 
-def _order_for(g: LabeledGraph) -> CliqueOrder:
-    from .graphs import perfect_order
-
-    return perfect_order(g)
-
-
-def _log_weights(theta: ThetaMap, vars_: Sequence[str], spec: LevelSpec) -> np.ndarray:
-    """Per-cell sums of applicable interactions over the ``vars_`` sub-table."""
-    shape = tuple(spec.size(v) for v in vars_)
-    s = np.zeros(shape, dtype=float)
-    pos = {v: i for i, v in enumerate(vars_)}
-    for key, val in theta.values.items():
+def _weights(theta: ThetaMap, vars_: tuple[str, ...], spec: LevelSpec) -> np.ndarray:
+    """Per-cell log weights over the ``vars_`` table: the zeta transform of ``theta``."""
+    for key in theta.values:
         if key.given_vars:
             raise ValueError("slice-wise coordinates have no joint weight table")
         if not set(key.vars) <= set(vars_):
             raise ValueError(f"coordinate on {key.vars} lies outside {tuple(vars_)}")
-        idx: list = [slice(None)] * len(vars_)
-        for v, x in zip(key.vars, key.cell):
-            idx[pos[v]] = x
-        s[tuple(idx)] += val
-    return s
+    a = np.zeros(_shape(spec, vars_))
+    if theta.values:  # the cell index of an empty key list over no axes is ill-formed
+        a.flat[_flat_cells(list(theta.values), vars_, spec)] = list(theta.values.values())
+    return _zeta(a, range(len(vars_)))
 
 
 def p_from_theta_mod(theta: ThetaMap, g: LabeledGraph, spec: LevelSpec) -> JointProbs:
     """Joint probabilities from ``mod`` coordinates; exact inverse of extraction."""
     if spec.n_cells() > MAX_TABLE_CELLS:
-        raise ValueError(f"table would exceed {MAX_TABLE_CELLS} cells")
+        raise TableTooLargeError(f"table would exceed {MAX_TABLE_CELLS} cells")
     for key in theta.values:
         if not is_complete(g, key.vars):
             raise ValueError(f"coordinate on non-complete set {key.vars}")
-    s = _log_weights(theta, spec.names, spec)
-    log_z = logsumexp(s)
-    return JointProbs(spec, np.exp(s - log_z))
+    return JointProbs(spec, _softmax(_weights(theta, spec.names, spec), range(len(spec.names))))
 
 
 def cumulant(theta: ThetaMap, a: Sequence[str], spec: LevelSpec) -> float:
@@ -448,12 +507,11 @@ def cumulant(theta: ThetaMap, a: Sequence[str], spec: LevelSpec) -> float:
     as zero.  Evaluated as a log-sum-exp over the cells of the a-table.
     """
     a_sorted = spec.sort(a)
-    s = _log_weights(theta, a_sorted, spec)
-    return logsumexp(s)
+    return _lse(_weights(theta, a_sorted, spec), range(len(a_sorted))).item()
 
 
 # ---------------------------------------------------------------------------
-# cond extraction and the xi coordinates
+# pcond <-> xi <-> cond <-> cliq <-> mod
 
 
 def theta_cond_from_p(
@@ -473,70 +531,17 @@ def theta_cond_from_p(
         worst_set, worst = markov_residual(p, order.graph())
         if worst > tol:
             raise MarkovViolationError(worst_set, worst, tol)
-    values: dict[ParamKey, float] = {}
-    c1 = order.cliques[0]
-    values.update(_block_thetas(np.log(marginal_array(p, c1)), c1, p.spec))
-    for l in range(2, order.k + 1):
-        s_vars = order.separators[l - 1]
-        r_vars = order.residuals[l - 1]
-        c_vars = order.cliques[l - 1]
-        q_c = marginal_array(p, c_vars)
-        q_s = marginal_array(p, s_vars)
-        for s_cell in iter_cells(s_vars, p.spec):
-            idx = tuple(
-                s_cell.level_of(v) if v in s_vars else slice(None) for v in c_vars
-            )
-            cond = q_c[idx] / q_s[s_cell.levels]
-            values.update(
-                _block_thetas(np.log(cond), r_vars, p.spec, s_vars, s_cell.levels)
-            )
-    return ThetaMap("cond", values)
-
-
-def xi_from_theta_cond(cond: ThetaMap, order: CliqueOrder) -> ThetaMap:
-    """Subset sums of block interactions: the block-wise multinomial logits."""
-    _expect_kind(cond, "cond")
-    values = {}
-    for key in cond.values:
-        cell = CellIndex(key.vars, key.cell)
-        total = 0.0
-        for f in nonempty_subsets(key.vars):
-            sub = cell.restrict(f)
-            total += cond.values[ParamKey(sub.vars, sub.levels, key.given_vars, key.given_cell)]
-        values[key] = total
-    return ThetaMap("xi", values)
-
-
-def theta_cond_from_xi(xi: ThetaMap, order: CliqueOrder) -> ThetaMap:
-    """Inverse of the subset-sum transform (alternating-sign inversion)."""
-    _expect_kind(xi, "xi")
-    values = {}
-    for key in xi.values:
-        cell = CellIndex(key.vars, key.cell)
-        total = 0.0
-        for f in nonempty_subsets(key.vars):
-            sub = cell.restrict(f)
-            sign = -1.0 if (len(key.vars) - len(f)) % 2 else 1.0
-            total += sign * xi.values[ParamKey(sub.vars, sub.levels, key.given_vars, key.given_cell)]
-        values[key] = total
-    return ThetaMap("cond", values)
+    return theta_cond_from_xi(xi_from_condprobs(CondProbs.from_joint(p, order)), order)
 
 
 def xi_from_condprobs(cp: CondProbs) -> ThetaMap:
     """Log odds of each block cell against the block's all-baseline cell."""
-    values = {}
-    for (l, s_levels), arr in cp.blocks.items():
-        vars_ = cp.block_vars(l)
-        given_vars = () if l == 1 else cp.order.separators[l - 1]
-        log_arr = np.log(arr)
-        base = log_arr[(0,) * len(vars_)]
-        for d in nonempty_subsets(vars_):
-            for cell in iter_cells(d, cp.spec, starred=True):
-                idx = tuple(cell.level_of(v) if v in d else 0 for v in vars_)
-                values[ParamKey(d, cell.levels, given_vars, s_levels)] = float(
-                    log_arr[idx] - base
-                )
-    return ThetaMap("xi", values)
+    arrays = []
+    for l in range(cp.order.k):
+        a = np.log(_stacked(cp, l))
+        a -= a[(Ellipsis,) + (slice(0, 1),) * len(cp.order.residuals[l])]
+        arrays.append(a)
+    return ThetaMap("xi", _unpack(arrays, "cond", cp.order, cp.spec))
 
 
 def p_from_xi(xi: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> CondProbs:
@@ -548,35 +553,23 @@ def p_from_xi(xi: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> CondProbs:
     """
     _expect_kind(xi, "xi")
     blocks = {}
-    for l, s_levels in block_keys(order, spec):
-        vars_ = order.cliques[0] if l == 1 else order.residuals[l - 1]
-        given_vars = () if l == 1 else order.separators[l - 1]
-        shape = tuple(spec.size(v) for v in vars_)
-        s = np.zeros(shape, dtype=float)
-        for cell in iter_cells(vars_, spec):
-            supp = cell.support()
-            if not supp:
-                continue
-            sub = cell.restrict(supp)
-            s[cell.levels] = xi.values[ParamKey(supp, sub.levels, given_vars, s_levels)]
-        log_z = logsumexp(s)
-        blocks[(l, s_levels)] = np.exp(s - log_z)
+    for l, a in enumerate(_pack(xi.values, "cond", order, spec)):
+        _softmax(a, _res_axes(order, l))
+        for s in iter_cells(order.separators[l], spec):
+            blocks[(l + 1, s.levels)] = a[s.levels]
     return CondProbs(order, spec, blocks)
 
 
-def _expect_kind(theta: ThetaMap, kind: str) -> None:
-    if theta.kind != kind:
-        raise ValueError(f"expected a {kind!r} map, got {theta.kind!r}")
+def xi_from_theta_cond(cond: ThetaMap, order: CliqueOrder) -> ThetaMap:
+    """Subset sums of block interactions: the block-wise multinomial logits."""
+    _expect_kind(cond, "cond")
+    return _transform(cond, "xi", _zeta, _res_axes, order, _spec_of(cond, order))
 
 
-# ---------------------------------------------------------------------------
-# cond <-> cliq
-
-
-def _slice_levels(s_vars: tuple[str, ...], cell: CellIndex, f: tuple[str, ...]) -> tuple[int, ...]:
-    """Full separator cell with ``cell``'s levels on f and baseline elsewhere."""
-    inside = set(f)
-    return tuple(cell.level_of(v) if v in inside else 0 for v in s_vars)
+def theta_cond_from_xi(xi: ThetaMap, order: CliqueOrder) -> ThetaMap:
+    """Inverse of the subset-sum transform (alternating-sign inversion)."""
+    _expect_kind(xi, "xi")
+    return _transform(xi, "cond", _mobius, _res_axes, order, _spec_of(xi, order))
 
 
 def cliq_from_cond(cond: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> ThetaMap:
@@ -588,29 +581,7 @@ def cliq_from_cond(cond: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> Theta
     The first clique's block is copied unchanged.
     """
     _expect_kind(cond, "cond")
-    values = {}
-    for l in range(order.k):
-        s_vars = order.separators[l]
-        sset = set(s_vars)
-        for e in home_sets(order, l):
-            f0 = tuple(v for v in e if v in sset)
-            d = tuple(v for v in e if v not in sset)
-            for cell in iter_cells(e, spec, starred=True):
-                d_cell = cell.restrict(d)
-                total = 0.0
-                for f in subsets_with_empty(f0):
-                    sign = -1.0 if (len(f0) - len(f)) % 2 else 1.0
-                    key = ParamKey(
-                        d, d_cell.levels, s_vars, _slice_levels(s_vars, cell, f)
-                    )
-                    if key not in cond.values:
-                        raise ValueError(
-                            f"missing slice coordinate for clique {l + 1},"
-                            f" slice {key.given_cell}"
-                        )
-                    total += sign * cond.values[key]
-                values[ParamKey(e, cell.levels)] = total
-    return ThetaMap("cliq", values)
+    return _transform(cond, "cliq", _mobius, _sep_axes, order, spec)
 
 
 def cond_from_cliq(cliq: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> ThetaMap:
@@ -621,176 +592,38 @@ def cond_from_cliq(cliq: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> Theta
     Exact inverse of :func:`cliq_from_cond`.
     """
     _expect_kind(cliq, "cliq")
-    values = {}
-    for d in nonempty_subsets(order.cliques[0]):
-        for cell in iter_cells(d, spec, starred=True):
-            values[ParamKey(d, cell.levels)] = cliq.values[ParamKey(d, cell.levels)]
-    for l in range(2, order.k + 1):
-        s_vars = order.separators[l - 1]
-        for s_cell in iter_cells(s_vars, spec):
-            f0 = s_cell.support()
-            for d in nonempty_subsets(order.residuals[l - 1]):
-                for cell in iter_cells(d, spec, starred=True):
-                    total = 0.0
-                    for g in subsets_with_empty(f0):
-                        merged = merge_cells(spec, s_cell.restrict(g), cell)
-                        total += cliq.values[ParamKey(merged.vars, merged.levels)]
-                    values[ParamKey(d, cell.levels, s_vars, s_cell.levels)] = total
-    return ThetaMap("cond", values)
+    return _transform(cliq, "cond", _zeta, _sep_axes, order, spec)
 
 
-# ---------------------------------------------------------------------------
-# cliq <-> mod
+def _slice_log_norms(xi: np.ndarray, order: CliqueOrder, l: int) -> np.ndarray:
+    """Per separator cell, the log normalizer of an xi array's residual block."""
+    return _lse(xi, _res_axes(order, l)).reshape(xi.shape[: len(order.separators[l])])
 
 
-def _pair_adjacency(order: CliqueOrder) -> set[frozenset[str]]:
-    pairs: set[frozenset[str]] = set()
-    for c in order.cliques:
-        for u, v in itertools.combinations(c, 2):
-            pairs.add(frozenset((u, v)))
-    return pairs
-
-
-def _exterior_components(
-    order: CliqueOrder, adj: set[frozenset[str]], l: int, e: tuple[str, ...]
-) -> list[tuple[str, ...]]:
-    """Interaction components of later-clique vertices that couple all of ``e``.
-
-    The exterior of clique l is the union of C_m \\ C_l over all later
-    cliques m.  Components of the induced adjacency whose neighborhoods miss
-    some vertex of ``e`` contribute identically to every term of the
-    alternating sum and cancel, so only fully coupled components are
-    enumerated.
-    """
-    c_l = set(order.cliques[l])
-    exterior: set[str] = set()
-    for m in range(l + 1, order.k):
-        exterior |= set(order.cliques[m]) - c_l
-    comps: list[set[str]] = []
-    remaining = set(exterior)
-    while remaining:
-        start = next(iter(remaining))
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in remaining - comp:
-                if frozenset((u, w)) in adj:
-                    comp.add(w)
-                    stack.append(w)
-        remaining -= comp
-        comps.append(comp)
-    kept = []
-    for comp in comps:
-        if all(any(frozenset((v, z)) in adj for z in comp) for v in e):
-            kept.append(tuple(sorted(comp, key=order.vertices.index)))
-    return kept
+def _cliq_log_norms(cliq: np.ndarray, order: CliqueOrder, l: int) -> np.ndarray:
+    """Möbius transform along S_l of the slice log normalizers of a cliq array."""
+    xi = _zeta(cliq, range(cliq.ndim))
+    return _mobius(_slice_log_norms(xi, order, l), _sep_axes(order, l))
 
 
 def mod_from_cliq(cliq: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> ThetaMap:
-    """Joint-table interactions from clique-marginal ones, by reverse sweep.
+    """Joint-table interactions from clique-marginal ones, clique by clique.
 
-    Cliques are processed last to first.  A coordinate whose set lies inside
-    no later separator equals its clique-marginal value; otherwise it is
-    corrected by an alternating sum of log normalizers over the exterior of
-    its clique, every interaction of which belongs to a later clique and is
-    already available.  A lookup that would need an earlier clique signals an
-    internal defect.
+    log p = Σ_C log p_C - Σ_S log p_S, so mod_E sums the Möbius transforms of
+    the log clique marginals containing E minus those of the log separator
+    marginals.  For E with home clique h that is cliq_E plus, for every later
+    clique l with E ⊆ S_l, the Möbius transform along S_l of
+    log q_l(R_l = baseline | S_l), which is minus the slice's log normalizer.
     """
     _expect_kind(cliq, "cliq")
-    adj = _pair_adjacency(order)
-    homes = {
-        key: l for l in range(order.k) for key in _home_keys(order, spec, l)
-    }
-    done: dict[ParamKey, float] = {}
-
-    def lookup(l: int, merged: CellIndex) -> float:
-        key = ParamKey(merged.vars, merged.levels)
-        if key in done:
-            return done[key]
-        if key in homes:
-            raise InternalDefectError(
-                f"reverse sweep at clique {l + 1} needs {key.vars}, whose home"
-                f" clique {homes[key] + 1} has not been processed"
-            )
-        return 0.0  # non-complete set: exact structural zero
-
-    for l in range(order.k - 1, -1, -1):
-        c_l = set(order.cliques[l])
-        later_seps = [
-            set(order.separators[m])
-            for m in range(l + 1, order.k)
-            if c_l & set(order.cliques[m])
-        ]
-        comp_cache: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for e in home_sets(order, l):
-            needs_correction = any(set(e) <= s for s in later_seps)
-            if e not in comp_cache:
-                comp_cache[e] = _exterior_components(order, adj, l, e)
-            comps = comp_cache[e]
-            if needs_correction:
-                n_ext = 1
-                for comp in comps:
-                    for v in comp:
-                        n_ext *= spec.size(v)
-                if n_ext > MAX_TABLE_CELLS:
-                    raise ValueError(
-                        f"correction for {e} at clique {l + 1} would enumerate"
-                        f" {n_ext} exterior cells (limit {MAX_TABLE_CELLS})"
-                    )
-            for cell in iter_cells(e, spec, starred=True):
-                base = cliq.values[ParamKey(e, cell.levels)]
-                if not needs_correction or not comps:
-                    done[ParamKey(e, cell.levels)] = base
-                    continue
-                corr = 0.0
-                for f in subsets_with_empty(e):
-                    sign = -1.0 if (len(e) - len(f)) % 2 else 1.0
-                    f_cell = cell.restrict(f)
-                    k_val = 0.0
-                    for comp in comps:
-                        k_val += _exterior_block_log_norm(
-                            spec, lookup, l, f, f_cell, comp
-                        )
-                    corr += sign * k_val
-                done[ParamKey(e, cell.levels)] = base - corr
-    return ThetaMap("mod", done)
-
-
-def _home_keys(order: CliqueOrder, spec: LevelSpec, l: int) -> list[ParamKey]:
-    return [
-        ParamKey(e, cell.levels)
-        for e in home_sets(order, l)
-        for cell in iter_cells(e, spec, starred=True)
-    ]
-
-
-def _exterior_block_log_norm(
-    spec: LevelSpec,
-    lookup: Callable[[int, CellIndex], float],
-    l: int,
-    f: tuple[str, ...],
-    f_cell: CellIndex,
-    comp: tuple[str, ...],
-) -> float:
-    """log(1 + Σ exp(...)) over the cells of one exterior component's table.
-
-    For a component cell with support G, the exponent sums the joint
-    interactions on K ∪ G' over K ⊆ f (empty included) and nonempty G' ⊆ G.
-    """
-    exponents = [0.0]
-    for comp_cell in iter_cells(comp, spec):
-        supp = comp_cell.support()
-        if not supp:
-            continue
-        s = 0.0
-        for g in nonempty_subsets(supp):
-            g_cell = comp_cell.restrict(g)
-            for k_sub in subsets_with_empty(f):
-                merged = merge_cells(spec, f_cell.restrict(k_sub), g_cell)
-                s += lookup(l, merged)
-        exponents.append(s)
-    return logsumexp(np.array(exponents))
+    arrays = _pack(cliq.values, "mod", order, spec)
+    values = _unpack(arrays, "mod", order, spec)
+    for l in range(1, order.k):
+        log_norms = _cliq_log_norms(arrays[l], order, l)
+        for s in iter_cells(order.separators[l], spec):
+            if any(s.levels):
+                values[ParamKey(*_on_support(s))] -= float(log_norms[s.levels])
+    return ThetaMap("mod", values)
 
 
 def cliq_from_mod(mod: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> ThetaMap:
@@ -829,129 +662,67 @@ class SufficientStats:
 
     @classmethod
     def from_table(cls, t: ContingencyTable, order: CliqueOrder) -> "SufficientStats":
+        """Read off one marginal count table per clique (counts are exact in floats)."""
         spec = t.spec
-        mod = {
-            key: float(marginal_count(t, CellIndex(key.vars, key.cell)))
-            for key in mod_keys(order, spec)
-        }
-        cond: dict[ParamKey, float] = {}
+        mod, cond = [], []
         cond_totals: dict[tuple[int, tuple[int, ...]], float] = {}
         cliq_totals: dict[tuple[int, tuple[str, ...], tuple[int, ...]], float] = {}
-        for key in cond_keys(order, spec):
-            if key.given_vars:
-                merged = merge_cells(
-                    spec,
-                    CellIndex(key.given_vars, key.given_cell),
-                    CellIndex(key.vars, key.cell),
-                )
-                cond[key] = float(marginal_count(t, merged))
-            else:
-                cond[key] = mod[ParamKey(key.vars, key.cell)]
-        for l in range(2, order.k + 1):
-            s_vars = order.separators[l - 1]
-            for s_cell in iter_cells(s_vars, spec):
-                cond_totals[(l, s_cell.levels)] = float(marginal_count(t, s_cell))
-            for f in subsets_with_empty(s_vars):
-                for f_cell in iter_cells(f, spec, starred=True) if f else [CellIndex((), ())]:
-                    cliq_totals[(l, f, f_cell.levels)] = float(
-                        marginal_count(t, f_cell)
-                    )
-        return cls(order, spec, float(t.total), mod, cond, cond_totals, cliq_totals)
+        for l in range(order.k):
+            s_vars, r_vars = order.separators[l], order.residuals[l]
+            n = slice_table(t.counts, spec, s_vars, r_vars).astype(float)
+            cond.append(_margins(n, _res_axes(order, l)).copy())
+            mod.append(_margins(n, _sep_axes(order, l)))
+            if l:  # the first clique's one slice total is t.total
+                # Residual-baseline slices: counts per separator cell, then per support.
+                base = (Ellipsis,) + (0,) * len(r_vars)
+                for s in iter_cells(s_vars, spec):
+                    cond_totals[(l + 1, s.levels)] = float(cond[l][base][s.levels])
+                    cliq_totals[(l + 1, *_on_support(s))] = float(n[base][s.levels])
+        return cls(
+            order, spec, float(t.total),
+            _unpack(mod, "mod", order, spec), _unpack(cond, "cond", order, spec),
+            cond_totals, cliq_totals,
+        )
+
+
+def _slice_totals(stats: SufficientStats, kind: str, l: int) -> np.ndarray:
+    """Counts paired with clique ``l``'s per-slice log normalizers, over S_l."""
+    s_vars = stats.order.separators[l]
+    if not l:
+        return np.asarray(stats.n_total)
+    out = np.empty(_shape(stats.spec, s_vars))
+    for s in iter_cells(s_vars, stats.spec):
+        if kind == "cond":
+            out[s.levels] = stats.cond_totals[(l + 1, s.levels)]
+        else:
+            out[s.levels] = stats.cliq_totals[(l + 1, *_on_support(s))]
+    return out
 
 
 def loglik(theta: ThetaMap, stats: SufficientStats) -> float:
     """Log density (multinomial coefficient excluded) in the map's own coordinates.
 
-    The three parametrizations agree with each other and with the direct sum
-    of count times log probability.
+    ⟨θ, N⟩ minus, per block, its total times its log normalizer.  The three
+    parametrizations agree with each other and with the direct sum of count
+    times log probability.
     """
-    if theta.kind == "mod":
-        return _loglik_mod(theta, stats)
-    if theta.kind == "cond":
-        return _loglik_cond(theta, stats)
-    if theta.kind == "cliq":
-        return _loglik_cliq(theta, stats)
-    raise ValueError(f"no likelihood form for kind {theta.kind!r}")
-
-
-def _loglik_mod(theta: ThetaMap, stats: SufficientStats) -> float:
-    if set(theta.values) != set(stats.mod):
+    kind = theta.kind
+    if kind not in ("mod", "cond", "cliq"):
+        raise ValueError(f"no likelihood form for kind {kind!r}")
+    order, spec = stats.order, stats.spec
+    counts = stats.cond if kind == "cond" else stats.mod
+    if set(theta.values) != set(counts):
         raise ValueError("parameter and statistic index sets differ")
-    inner = sum(theta.values[k] * stats.mod[k] for k in stats.mod)
-    k_full = cumulant(theta, stats.spec.names, stats.spec)
-    return inner - stats.n_total * k_full
-
-
-def _cond_block_value(
-    theta: ThetaMap, spec: LevelSpec, vars_: tuple[str, ...],
-    given_vars: tuple[str, ...], given_levels: tuple[int, ...],
-    counts: dict[ParamKey, float], total: float,
-) -> float:
-    inner = 0.0
-    for d in nonempty_subsets(vars_):
-        for cell in iter_cells(d, spec, starred=True):
-            key = ParamKey(d, cell.levels, given_vars, given_levels)
-            inner += theta.values[key] * counts[key]
-
-    def theta_of(f: tuple[str, ...], sub: CellIndex) -> float:
-        return theta.values[ParamKey(f, sub.levels, given_vars, given_levels)]
-
-    return inner - total * _block_cumulant(theta_of, vars_, spec)
-
-
-def _loglik_cond(theta: ThetaMap, stats: SufficientStats) -> float:
-    order, spec = stats.order, stats.spec
-    total = _cond_block_value(
-        theta, spec, order.cliques[0], (), (), stats.cond, stats.n_total
+    thetas = _pack(theta.values, _LAYOUT[kind], order, spec)
+    total = sum(
+        float(np.vdot(a, n)) for a, n in zip(thetas, _pack(counts, _LAYOUT[kind], order, spec))
     )
-    for l in range(2, order.k + 1):
-        s_vars = order.separators[l - 1]
-        for s_cell in iter_cells(s_vars, spec):
-            total += _cond_block_value(
-                theta, spec, order.residuals[l - 1], s_vars, s_cell.levels,
-                stats.cond, stats.cond_totals[(l, s_cell.levels)],
-            )
-    return total
-
-
-def _loglik_cliq(theta: ThetaMap, stats: SufficientStats) -> float:
-    order, spec = stats.order, stats.spec
-
-    def c1_theta(f: tuple[str, ...], sub: CellIndex) -> float:
-        return theta.values[ParamKey(f, sub.levels)]
-
-    total = 0.0
-    for d in nonempty_subsets(order.cliques[0]):
-        for cell in iter_cells(d, spec, starred=True):
-            key = ParamKey(d, cell.levels)
-            total += theta.values[key] * stats.mod[key]
-    total -= stats.n_total * _block_cumulant(c1_theta, order.cliques[0], spec)
-
-    for l in range(2, order.k + 1):
-        s_vars = order.separators[l - 1]
-        r_vars = order.residuals[l - 1]
-        for e in home_sets(order, l - 1):
-            for cell in iter_cells(e, spec, starred=True):
-                key = ParamKey(e, cell.levels)
-                total += theta.values[key] * stats.mod[key]
-        for f in subsets_with_empty(s_vars):
-            f_cells = iter_cells(f, spec, starred=True) if f else [CellIndex((), ())]
-            for f_cell in f_cells:
-                n_f = stats.cliq_totals[(l, f, f_cell.levels)]
-                inner = 0.0
-                for h in subsets_with_empty(f):
-                    sign = -1.0 if (len(f) - len(h)) % 2 else 1.0
-                    h_cell = f_cell.restrict(h)
-
-                    def slice_theta(g: tuple[str, ...], sub: CellIndex) -> float:
-                        s = 0.0
-                        for k_sub in subsets_with_empty(h_cell.vars):
-                            merged = merge_cells(
-                                spec, h_cell.restrict(k_sub), sub
-                            )
-                            s += theta.values[ParamKey(merged.vars, merged.levels)]
-                        return s
-
-                    inner += sign * _block_cumulant(slice_theta, r_vars, spec)
-                total -= n_f * inner
+    if kind == "mod":
+        return total - stats.n_total * cumulant(theta, spec.names, spec)
+    for l, a in enumerate(thetas):
+        if kind == "cliq":
+            log_norms = _cliq_log_norms(a, order, l)
+        else:
+            log_norms = _slice_log_norms(_zeta(a, _res_axes(order, l)), order, l)
+        total -= float(np.vdot(log_norms, _slice_totals(stats, kind, l)))
     return total

@@ -23,20 +23,11 @@ from .params import (
     SufficientStats,
     ThetaMap,
     block_keys,
+    canonical_keys,
     cliq_from_mod,
-    cond_keys,
     loglik,
-    mod_keys,
 )
-from .tables import (
-    CellIndex,
-    ContingencyTable,
-    LevelSpec,
-    iter_cells,
-    marginal_count,
-    merge_cells,
-    subsets_with_empty,
-)
+from .tables import ContingencyTable, LevelSpec, iter_cells, slice_table, subsets_with_empty
 
 HALF = Fraction(1, 2)
 
@@ -157,18 +148,24 @@ def reference_prior_pcond(
 
 
 def posterior_update(prior: DirichletBlocks, t: ContingencyTable) -> DirichletBlocks:
-    """Conjugate update: every cell hyperparameter gains its observed count."""
+    """Conjugate update: every cell hyperparameter gains its observed count.
+
+    Counts are read from one marginal count table per (slice, block)
+    variable set, shared by the blocks of all its slices.
+    """
     if t.spec != prior.spec:
         raise ValueError("table and prior are on different models")
+    tables: dict[tuple[tuple[str, ...], tuple[str, ...]], np.ndarray] = {}
     new_blocks = []
     for b in prior.blocks:
-        given = CellIndex(b.given_vars, b.given_cell)
-        alpha = []
-        for levels, a in zip(b.cells, b.alpha):
-            cell = merge_cells(t.spec, given, CellIndex(b.vars, levels))
-            alpha.append(a + marginal_count(t, cell))
+        sets = (b.given_vars, b.vars)
+        if sets not in tables:
+            tables[sets] = slice_table(t.counts, t.spec, *sets)
+        cells = np.array(b.cells, dtype=np.intp).reshape(len(b.cells), len(b.vars))
+        counts = tables[sets][b.given_cell][tuple(cells.T)]
+        alpha = tuple((np.asarray(b.alpha, dtype=float) + counts).tolist())
         new_blocks.append(
-            DirichletBlock(b.label, b.vars, b.given_vars, b.given_cell, b.cells, tuple(alpha))
+            DirichletBlock(b.label, b.vars, b.given_vars, b.given_cell, b.cells, alpha)
         )
     return DirichletBlocks(prior.spec, tuple(new_blocks), prior.grouping)
 
@@ -277,7 +274,7 @@ def fictitious_counts(tag: str, order: CliqueOrder, spec: LevelSpec) -> Fictitio
     totals: dict[tuple, Fraction] = {}
     grand = Fraction(_n_cells(spec, c1), 2)
     if tag == "cond":
-        for key in cond_keys(order, spec):
+        for key in canonical_keys("cond", order, spec):
             if not key.given_vars and set(key.vars) <= set(c1):
                 rest = [v for v in c1 if v not in key.vars]
             else:
@@ -290,7 +287,7 @@ def fictitious_counts(tag: str, order: CliqueOrder, spec: LevelSpec) -> Fictitio
             for s_cell in iter_cells(order.separators[l - 1], spec):
                 totals[(l, s_cell.levels)] = half_r
     else:
-        for key in mod_keys(order, spec):
+        for key in canonical_keys("mod", order, spec):
             l = order.home(key.vars) + 1
             if l == 1:
                 rest = [v for v in c1 if v not in key.vars]

@@ -16,6 +16,10 @@ import numpy as np
 MAX_TABLE_CELLS = 10**6
 
 
+class TableTooLargeError(ValueError):
+    """A full table over the model's variables would exceed a cell limit."""
+
+
 class CellIndex(NamedTuple):
     """A cell of the marginal table over ``vars`` (canonically sorted)."""
 
@@ -164,7 +168,7 @@ def ingest_rows(spec: LevelSpec, rows: Iterable[Sequence[int]]) -> ContingencyTa
     Rows are aligned with ``spec.names``.  Errors name the offending row.
     """
     if spec.n_cells() > MAX_TABLE_CELLS:
-        raise ValueError(f"table would exceed {MAX_TABLE_CELLS} cells")
+        raise TableTooLargeError(f"table would exceed {MAX_TABLE_CELLS} cells")
     counts = np.zeros(spec.shape, dtype=np.int64)
     for rownum, row in enumerate(rows, start=1):
         if len(row) != len(spec.names):
@@ -189,6 +193,20 @@ def from_cell_counts(spec: LevelSpec, entries: Iterable[tuple[Sequence[int], int
                 raise ValueError(f"entry {rownum}: level {x} out of range for {name!r}")
         counts[tuple(int(x) for x in levels)] += int(n)
     return ContingencyTable(spec, counts)
+
+
+def slice_table(
+    table: np.ndarray, spec: LevelSpec, given: Sequence[str], free: Sequence[str]
+) -> np.ndarray:
+    """Marginal of a full table over ``given + free``, with axes in that order.
+
+    Works on counts and probabilities alike.  Indexing the result with the
+    levels of a ``given`` cell yields that slice's block over ``free``.
+    """
+    axes = [spec.index(v) for v in (*given, *free)]
+    # einsum sums and orders the axes in one pass; it returns a view when
+    # nothing is summed, and callers may write to the result.
+    return np.einsum(table, range(table.ndim), axes).copy()
 
 
 def _axis_key(spec: LevelSpec, cell: CellIndex) -> tuple:

@@ -246,6 +246,47 @@ class TestExitCodes:
         assert "internal error" in err
 
 
+class TestOversizedModel:
+    """A 21-variable binary chain: 2**21 full-table cells, 4 per clique."""
+
+    @pytest.fixture()
+    def chain21(self, tmp_path):
+        names = [f"v{i:02d}" for i in range(21)]
+        model = tmp_path / "chain21.json"
+        model.write_text(json.dumps({
+            "variables": [{"name": v, "levels": 2} for v in names],
+            "edges": [[u, v] for u, v in zip(names, names[1:])],
+        }))
+        return model
+
+    def test_sample_as_mod_runs_clique_locally(self, chain21):
+        code, out, _ = run("sample", "--model", str(chain21), "--n", "1",
+                           "--seed", "3", "--as", "mod")
+        assert code == 0
+        draw = json.loads(out)["draws"][0]
+        assert draw["kind"] == "mod" and len(draw["entries"]) == 41
+
+    def test_transform_to_cliq_names_the_limit(self, chain21, tmp_path):
+        from decotab.graphs import perfect_order
+        from decotab.modelio import load_model, theta_to_dict, to_json_text
+        from decotab.params import ThetaMap, canonical_keys
+
+        g, spec = load_model(chain21)
+        order = perfect_order(g)
+        zero = ThetaMap("mod", dict.fromkeys(canonical_keys("mod", order, spec), 0.0))
+        dump = tmp_path / "mod.json"
+        dump.write_text(to_json_text(theta_to_dict(zero, order, spec)))
+        code, _, err = run("transform", "--model", str(chain21), "--from", "mod",
+                           "--to", "cliq", "--params", str(dump))
+        assert code == 1
+        assert err.count("\n") == 1 and "1000000" in err
+
+    def test_verify_names_the_limit(self, chain21):
+        code, _, err = run("verify", "--graph", str(chain21))
+        assert code == 1
+        assert err.count("\n") == 1 and "1000000" in err
+
+
 class TestSampleEdges:
     def test_zero_draws(self):
         code, out, _ = run("sample", "--model", "chain3", "--n", "0", "--seed", "1")

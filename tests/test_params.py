@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decotab.graphs import LabeledGraph, perfect_order
-from decotab.oracle import brute_theta, direct_loglik
+from decotab.graphs import LabeledGraph, is_complete, perfect_order
+from decotab.oracle import brute_markov_residual, brute_theta, direct_loglik
 from decotab.params import (
     CondProbs,
     JointProbs,
@@ -32,8 +32,13 @@ from decotab.params import (
     xi_from_condprobs,
     xi_from_theta_cond,
 )
-from decotab.randgen import random_cond_probs, random_positive_joint, random_table
-from decotab.tables import CellIndex, LevelSpec, iter_cells
+from decotab.randgen import (
+    random_cond_probs,
+    random_model,
+    random_positive_joint,
+    random_table,
+)
+from decotab.tables import CellIndex, LevelSpec, iter_cells, nonempty_subsets
 
 
 def uniform_joint(spec):
@@ -438,6 +443,59 @@ class TestLoglik:
             loglik(wrong, stats)
 
 
+def markov_and_perturbed(seed):
+    """A random decomposable model with a Markov joint and a perturbed copy."""
+    rng = np.random.default_rng(seed)
+    g, order, spec = random_model(rng, int(rng.integers(2, 7)))
+    p = random_cond_probs(rng, order, spec).joint()
+    q = p.p * np.exp(rng.normal(scale=0.3, size=spec.shape))
+    return g, order, spec, p, JointProbs(spec, q / q.sum())
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_markov_residual_matches_oracle(seed):
+    g, order, spec, markov, perturbed = markov_and_perturbed(seed)
+    for p in (markov, perturbed):
+        worst_set, worst = markov_residual(p, g)
+        want_set, want = brute_markov_residual(p, g)
+        assert abs(worst - want) < 1e-10
+        per_set = {}
+        for d in nonempty_subsets(spec.names):
+            if len(d) > 1 and not is_complete(g, d):
+                per_set[d] = max(
+                    abs(brute_theta(p, d, cell)) for cell in iter_cells(d, spec, starred=True)
+                )
+        top = sorted(per_set.values(), reverse=True) + [0.0, 0.0]
+        if top[0] - top[1] > 1e-9:  # a unique maximum, clear of rounding
+            assert worst_set == want_set
+
+
+def test_markov_violation_ties_go_to_the_first_set():
+    # a interacts equally with b and c; with no edges, {a,b} and {a,c} tie
+    # exactly and the report names the first in nonempty_subsets order
+    g = LabeledGraph.make(("a", "b", "c"), [])
+    spec = LevelSpec(("a", "b", "c"), (2, 2, 2))
+    xa, xb, xc = np.indices(spec.shape)
+    w = np.exp(0.7 * xa * (xb + xc))
+    with pytest.raises(MarkovViolationError) as err:
+        theta_cond_from_p(JointProbs(spec, w / w.sum()), perfect_order(g))
+    assert err.value.worst_set == ("a", "b")
+    assert err.value.worst_value == pytest.approx(0.7, abs=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_mod_coordinates_match_oracle(seed):
+    g, order, spec, markov, perturbed = markov_and_perturbed(seed)
+    for p in (markov, perturbed):
+        for key, val in theta_mod_from_p(p, g).values.items():
+            assert abs(val - brute_theta(p, key.vars, CellIndex(key.vars, key.cell))) < 1e-10
+    cliq = cliq_from_cond(theta_cond_from_p(markov, order), order, spec)
+    for key, val in mod_from_cliq(cliq, order, spec).values.items():
+        assert abs(val - brute_theta(markov, key.vars, CellIndex(key.vars, key.cell))) < 1e-10
+
+
 class TestJointProbsValidation:
     def test_rejects_nonpositive(self):
         spec = LevelSpec(("a",), (2,))
@@ -465,22 +523,45 @@ class TestChainZeroSets:
                 assert abs(brute_theta(p, d, cell)) < 1e-10
 
 
-class TestExteriorGuard:
-    def test_oversized_correction_is_refused(self):
-        # a star of 21 two-vertex cliques around b: the hub's correction
-        # would enumerate 2**21 exterior cells and must be refused
-        from decotab.graphs import LabeledGraph
+def star_cond_probs(n_leaves, hub_block, leaf_block):
+    """Binary star: clique (a, b), then one clique (b, x_i) per leaf, all leaves alike."""
+    leaves = tuple(f"x{i:02d}" for i in range(n_leaves))
+    names = ("a", "b") + leaves
+    g = LabeledGraph.from_cliques(names, [("a", "b")] + [("b", x) for x in leaves])
+    order = perfect_order(g)
+    spec = LevelSpec(names, (2,) * len(names))
+    blocks = {(1, ()): hub_block}
+    for l in range(2, order.k + 1):
+        for b in (0, 1):
+            blocks[(l, (b,))] = leaf_block[b]
+    return g, order, spec, CondProbs(order, spec, blocks)
 
-        leaves = tuple(f"x{i:02d}" for i in range(21))
-        names = ("a", "b") + leaves
-        cliques = [("a", "b")] + [("b", x) for x in leaves]
-        g = LabeledGraph.from_cliques(names, cliques)
-        order = perfect_order(g)
-        spec = LevelSpec(names, (2,) * len(names))
-        keys = canonical_keys("cliq", order, spec)
-        cliq = ThetaMap("cliq", {k: 0.0 for k in keys})
-        with pytest.raises(ValueError, match="exterior cells"):
-            mod_from_cliq(cliq, order, spec)
+
+class TestStarModFromCliq:
+    def test_21_leaf_star_matches_extrapolated_oracle(self, rng):
+        # The star's full table has 2**23 cells, beyond any enumeration; the
+        # clique-local transform needs only its 2x2 clique tables.  Leaf sets
+        # lie in no later separator, so they keep their cliq values; the hub
+        # {b} lies in every leaf separator, so with identical leaf blocks its
+        # coordinate is affine in the leaf count and two small stars fix it.
+        hub = rng.dirichlet(np.ones(4)).reshape(2, 2)
+        leaf = rng.dirichlet(np.ones(2), size=2)
+        g, order, spec, cp = star_cond_probs(21, hub, leaf)
+        cliq = cliq_from_cond(
+            theta_cond_from_xi(xi_from_condprobs(cp), order), order, spec
+        )
+        mod = mod_from_cliq(cliq, order, spec)
+        assert set(mod.values) == set(canonical_keys("mod", order, spec))
+        for key, val in mod.values.items():
+            if key.vars != ("b",):
+                assert val == cliq.values[key]
+        hub_key = CellIndex(("b",), (1,))
+        small = [
+            brute_theta(star_cond_probs(n, hub, leaf)[3].joint(), ("b",), hub_key)
+            for n in (1, 2)
+        ]
+        want = small[0] + 20 * (small[1] - small[0])
+        assert mod.values[ParamKey(("b",), (1,))] == pytest.approx(want, abs=1e-10)
 
 
 class TestMarkovTolEnv:
