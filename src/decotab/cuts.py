@@ -26,7 +26,7 @@ from .graphs import (
 )
 from .params import CondProbs, JointProbs, conditional_table, marginal_joint
 from .priors import DirichletBlock, DirichletBlocks, reference_prior_pcond
-from .tables import ContingencyTable, LevelSpec, iter_cells, slice_table
+from .tables import ContingencyTable, LevelSpec, iter_cells
 
 
 class NotACutError(ValueError):
@@ -163,7 +163,7 @@ def cut_loglik(decomp: CutDecomposition, probs: CutProbs, t: ContingencyTable) -
 
     def part(given, free, blocks) -> float:
         # Every slice's counts come from one marginal count table.
-        n = slice_table(t.counts, t.spec, given, free)
+        n = t.marginal(given, free)
         return sum(float((n[s] * np.log(q)).sum()) for s, q in blocks.items())
 
     def clique(blocks, l):

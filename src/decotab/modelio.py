@@ -9,10 +9,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .params import (
     canonical_keys,
 )
 from .priors import DirichletBlock, DirichletBlocks
-from .tables import ContingencyTable, LevelSpec, from_cell_counts, ingest_rows
+from .tables import ContingencyTable, LevelSpec, RowError, tabulate
 
 FIXTURES = ("chain3", "thick6", "branch11")
 
@@ -157,46 +158,73 @@ def load_fixture(name: str) -> tuple[LabeledGraph, LevelSpec]:
 # Data files (CSV)
 
 
+# A blank line: empty, whitespace only, or empty fields only (",,", '"",""').
+_BLANK = r'[ \t\r\f\v,"]*'
+_BLANK_LINES = re.compile(r"\n" + _BLANK + r"(?=\n|\Z)")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def parse_data_csv(
     text: str, spec: LevelSpec, *, cell_counts: bool = False, source: str = "<data>"
 ) -> ContingencyTable:
     """Observation rows, or cell-count rows when ``cell_counts`` is set.
 
     The header must name every model variable (cell-count files add a final
-    ``count`` column); columns may come in any order.
+    ``count`` column); columns may come in any order.  Blank lines are
+    skipped; errors name the physical file line.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(field.strip() for field in row)]
-    if not rows:
+    body = _BLANK_LINES.sub("", "\n" + text)[1:]
+    if not body:
         raise FileFormatError(f"{source}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header_line, _, rest = body.partition("\n")
+    header = [h.strip() for h in next(csv.reader([header_line]))]
     expected = list(spec.names) + (["count"] if cell_counts else [])
     if sorted(header) != sorted(expected):
         raise FileFormatError(
             f"{source}: header {header} does not match model variables {expected}"
         )
-    if cell_counts and header[-1] != "count":
-        order = [header.index(v) for v in spec.names] + [header.index("count")]
-    else:
-        order = [header.index(v) for v in spec.names] + (
-            [header.index("count")] if cell_counts else []
-        )
-
-    def parse_row(row: list[str], lineno: int) -> list[int]:
-        if len(row) != len(header):
-            raise FileFormatError(f"{source}: line {lineno}: wrong column count")
+    order = [header.index(v) for v in expected]
+    if rest:
         try:
-            return [int(row[i].strip()) for i in order]
-        except ValueError:
-            raise FileFormatError(f"{source}: line {lineno}: non-integer entry")
-
-    parsed = [parse_row(row, i + 2) for i, row in enumerate(rows[1:])]
+            table = np.loadtxt(io.StringIO(rest), delimiter=",", dtype=np.int64, ndmin=2,
+                               comments=None, quotechar='"')
+        except ValueError as exc:
+            _raise_located(text, len(header), source, exc)
+    else:
+        table = np.empty((0, len(header)), dtype=np.int64)
+    if table.shape[1] != len(header):
+        _raise_located(text, len(header), source, None)
     try:
         if cell_counts:
-            return from_cell_counts(spec, [(r[:-1], r[-1]) for r in parsed])
-        return ingest_rows(spec, parsed)
+            return tabulate(spec, table[:, order[:-1]], table[:, order[-1]])
+        return tabulate(spec, table[:, order])
+    except RowError as exc:
+        lineno = _data_lines(text)[exc.index + 1][0]
+        raise FileFormatError(f"{source}: line {lineno}: {exc.detail}") from exc
     except ValueError as exc:
         raise FileFormatError(f"{source}: {exc}") from exc
+
+
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """(file line number, line) for every line that is not blank, header first."""
+    return [
+        (i, line) for i, line in enumerate(text.split("\n"), start=1)
+        if not re.fullmatch(_BLANK, line)
+    ]
+
+
+def _raise_located(text: str, n_columns: int, source: str, exc: Exception | None) -> NoReturn:
+    """Find the first malformed data line and raise its located error; never returns."""
+    for lineno, line in _data_lines(text)[1:]:
+        fields = next(csv.reader([line]))
+        where = f"{source}: line {lineno}"
+        if len(fields) != n_columns:
+            raise FileFormatError(f"{where}: wrong column count")
+        if not all(_INTEGER.fullmatch(f) for f in fields):
+            raise FileFormatError(f"{where}: non-integer entry")
+        if not all(-(2**63) <= int(f) < 2**63 for f in fields):
+            raise FileFormatError(f"{where}: integer out of range")
+    raise FileFormatError(f"{source}: unreadable data ({exc})") from exc
 
 
 def load_data(path: str | Path, spec: LevelSpec, *, cell_counts: bool = False) -> ContingencyTable:

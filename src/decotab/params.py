@@ -38,11 +38,10 @@ import numpy as np
 
 from .graphs import CliqueOrder, LabeledGraph, is_complete, perfect_order
 from .tables import (
-    MAX_TABLE_CELLS,
     CellIndex,
     ContingencyTable,
     LevelSpec,
-    TableTooLargeError,
+    check_cells,
     iter_cells,
     merge_cells,
     nonempty_subsets,
@@ -479,6 +478,7 @@ def markov_residual(p: JointProbs, g: LabeledGraph) -> tuple[tuple[str, ...], fl
 
 def _weights(theta: ThetaMap, vars_: tuple[str, ...], spec: LevelSpec) -> np.ndarray:
     """Per-cell log weights over the ``vars_`` table: the zeta transform of ``theta``."""
+    check_cells(spec.n_cells(vars_))
     for key in theta.values:
         if key.given_vars:
             raise ValueError("slice-wise coordinates have no joint weight table")
@@ -492,8 +492,6 @@ def _weights(theta: ThetaMap, vars_: tuple[str, ...], spec: LevelSpec) -> np.nda
 
 def p_from_theta_mod(theta: ThetaMap, g: LabeledGraph, spec: LevelSpec) -> JointProbs:
     """Joint probabilities from ``mod`` coordinates; exact inverse of extraction."""
-    if spec.n_cells() > MAX_TABLE_CELLS:
-        raise TableTooLargeError(f"table would exceed {MAX_TABLE_CELLS} cells")
     for key in theta.values:
         if not is_complete(g, key.vars):
             raise ValueError(f"coordinate on non-complete set {key.vars}")
@@ -504,7 +502,8 @@ def cumulant(theta: ThetaMap, a: Sequence[str], spec: LevelSpec) -> float:
     """Log normalizer of the exponential-family weights restricted to ``a``.
 
     Keys of ``theta`` must lie inside ``a``; absent (non-complete) sets count
-    as zero.  Evaluated as a log-sum-exp over the cells of the a-table.
+    as zero.  Evaluated as a log-sum-exp over the cells of the a-table, so an
+    a-table beyond MAX_TABLE_CELLS is refused.
     """
     a_sorted = spec.sort(a)
     return _lse(_weights(theta, a_sorted, spec), range(len(a_sorted))).item()
@@ -669,7 +668,7 @@ class SufficientStats:
         cliq_totals: dict[tuple[int, tuple[str, ...], tuple[int, ...]], float] = {}
         for l in range(order.k):
             s_vars, r_vars = order.separators[l], order.residuals[l]
-            n = slice_table(t.counts, spec, s_vars, r_vars).astype(float)
+            n = t.marginal(s_vars, r_vars).astype(float)
             cond.append(_margins(n, _res_axes(order, l)).copy())
             mod.append(_margins(n, _sep_axes(order, l)))
             if l:  # the first clique's one slice total is t.total

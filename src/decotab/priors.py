@@ -27,7 +27,7 @@ from .params import (
     cliq_from_mod,
     loglik,
 )
-from .tables import ContingencyTable, LevelSpec, iter_cells, slice_table, subsets_with_empty
+from .tables import ContingencyTable, LevelSpec, iter_cells, subsets_with_empty
 
 HALF = Fraction(1, 2)
 
@@ -150,19 +150,15 @@ def reference_prior_pcond(
 def posterior_update(prior: DirichletBlocks, t: ContingencyTable) -> DirichletBlocks:
     """Conjugate update: every cell hyperparameter gains its observed count.
 
-    Counts are read from one marginal count table per (slice, block)
-    variable set, shared by the blocks of all its slices.
+    Counts are read from the table's marginal over each block's slice and
+    block variables, tabulated once and shared by the blocks of all slices.
     """
     if t.spec != prior.spec:
         raise ValueError("table and prior are on different models")
-    tables: dict[tuple[tuple[str, ...], tuple[str, ...]], np.ndarray] = {}
     new_blocks = []
     for b in prior.blocks:
-        sets = (b.given_vars, b.vars)
-        if sets not in tables:
-            tables[sets] = slice_table(t.counts, t.spec, *sets)
         cells = np.array(b.cells, dtype=np.intp).reshape(len(b.cells), len(b.vars))
-        counts = tables[sets][b.given_cell][tuple(cells.T)]
+        counts = t.marginal(b.given_vars, b.vars)[b.given_cell][tuple(cells.T)]
         alpha = tuple((np.asarray(b.alpha, dtype=float) + counts).tolist())
         new_blocks.append(
             DirichletBlock(b.label, b.vars, b.given_vars, b.given_cell, b.cells, alpha)

@@ -8,6 +8,7 @@ which starred cells are conventionally listed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -140,26 +141,114 @@ def subsets_with_empty(d: Sequence[str]) -> list[tuple[str, ...]]:
     return [()] + nonempty_subsets(d)
 
 
-@dataclass(frozen=True)
+def check_cells(n_cells: int) -> None:
+    """Refuse a table of ``n_cells`` cells beyond MAX_TABLE_CELLS, before allocating it."""
+    if n_cells > MAX_TABLE_CELLS:
+        raise TableTooLargeError(f"table would exceed {MAX_TABLE_CELLS} cells")
+
+
+class RowError(ValueError):
+    """Input row ``index`` (0-based) is malformed; the message names it from 1."""
+
+    def __init__(self, index: int, detail: str):
+        super().__init__(f"row {index + 1}: {detail}")
+        self.index, self.detail = int(index), detail
+
+
 class ContingencyTable:
-    """Dense nonnegative integer counts over the full product of level sets."""
+    """Nonnegative integer counts over the full product of level sets.
 
-    spec: LevelSpec
-    counts: np.ndarray
+    Held as observed level rows, one per row of ``levels`` (N, n; the smallest
+    unsigned dtype holding the largest level) with its int64 count in
+    ``row_counts``.  Marginal tables are tabulated from them on demand; the
+    dense ``counts`` is the marginal over every variable.
+    """
 
-    def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
-        if arr.shape != self.spec.shape:
-            raise ValueError(f"counts shape {arr.shape} does not match spec {self.spec.shape}")
+    def __init__(self, spec: LevelSpec, counts: np.ndarray):
+        arr = np.asarray(counts, dtype=np.int64)
+        if arr.shape != spec.shape:
+            raise ValueError(f"counts shape {arr.shape} does not match spec {spec.shape}")
         if (arr < 0).any():
             raise ValueError("counts must be nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
+        self._init(spec, np.argwhere(arr), arr[arr != 0])
+
+    def _init(self, spec: LevelSpec, levels: np.ndarray, row_counts: np.ndarray) -> None:
+        self.spec = spec
+        self.levels = levels.astype(np.min_scalar_type(max(spec.sizes, default=1) - 1))
+        self.row_counts = np.asarray(row_counts, dtype=np.int64)
+        for a in (self.levels, self.row_counts):
+            a.flags.writeable = False
+        self.total = int(self.row_counts.sum())
+        self._marginals: dict[frozenset[str], np.ndarray] = {}
 
     @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def counts(self) -> np.ndarray:
+        """The dense table, axes in ``spec.names`` order (refused beyond the cell cap)."""
+        return self.marginal((), self.spec.names)
+
+    def marginal(self, given: Sequence[str], free: Sequence[str]) -> np.ndarray:
+        """Marginal counts over ``given + free``, with axes in that order, like ``slice_table``.
+
+        Exact int64 sums over the rows, read-only, tabulated once per variable set.
+        """
+        names = (*given, *free)
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated variable in {names}")
+        vars_ = self.spec.sort(names)
+        key = frozenset(vars_)
+        table = self._marginals.get(key)
+        if table is None:
+            shape = tuple(self.spec.size(v) for v in vars_)
+            check_cells(math.prod(shape))
+            table = np.zeros(math.prod(shape), dtype=np.int64)
+            if vars_:
+                cols = self.levels[:, [self.spec.index(v) for v in vars_]]
+                np.add.at(table, np.ravel_multi_index(tuple(cols.T), shape), self.row_counts)
+            else:
+                table[0] = self.total
+            table = table.reshape(shape)
+            table.flags.writeable = False
+            self._marginals[key] = table
+        return table.transpose([vars_.index(v) for v in names])
+
+
+def tabulate(
+    spec: LevelSpec, levels: Sequence[Sequence[int]] | np.ndarray, counts: Sequence[int] | None = None
+) -> ContingencyTable:
+    """Tabulate observed level rows, each with a count (1 when ``counts`` is None).
+
+    Rows of ``levels`` are aligned with ``spec.names``.  Every check is an
+    array comparison; a failure raises :class:`RowError` naming the first
+    offending row.
+    """
+    n = len(spec.names)
+    if not isinstance(levels, np.ndarray):
+        levels = list(levels)
+        lengths = np.fromiter(map(len, levels), dtype=np.intp, count=len(levels))
+        bad = np.flatnonzero(lengths != n)
+        if bad.size:
+            raise RowError(bad[0], f"expected {n} levels, got {lengths[bad[0]]}")
+    levels = np.asarray(levels, dtype=np.int64)
+    if levels.shape == (0,):
+        levels = levels.reshape(0, n)
+    if levels.ndim != 2 or levels.shape[1] != n:
+        raise ValueError(f"levels of shape {levels.shape} are not rows of {n} levels")
+    counts = np.ones(len(levels), np.int64) if counts is None else np.asarray(counts, np.int64)
+    if counts.shape != (len(levels),):
+        raise ValueError(f"{counts.size} counts for {len(levels)} rows")
+    out_of_range = (levels < 0) | (levels >= np.array(spec.sizes))
+    bad = np.flatnonzero(out_of_range.any(axis=1) | (counts < 0))
+    if bad.size:
+        i = bad[0]
+        if counts[i] < 0:
+            raise RowError(i, "negative count")
+        j = np.argmax(out_of_range[i])
+        raise RowError(i, f"level {levels[i, j]} out of range for variable {spec.names[j]!r}")
+    if counts.sum(dtype=float) >= 2.0**63:  # int64 sums would wrap
+        raise ValueError("total count exceeds 2**63 - 1")
+    t = ContingencyTable.__new__(ContingencyTable)
+    t._init(spec, levels, counts)
+    return t
 
 
 def ingest_rows(spec: LevelSpec, rows: Iterable[Sequence[int]]) -> ContingencyTable:
@@ -167,32 +256,13 @@ def ingest_rows(spec: LevelSpec, rows: Iterable[Sequence[int]]) -> ContingencyTa
 
     Rows are aligned with ``spec.names``.  Errors name the offending row.
     """
-    if spec.n_cells() > MAX_TABLE_CELLS:
-        raise TableTooLargeError(f"table would exceed {MAX_TABLE_CELLS} cells")
-    counts = np.zeros(spec.shape, dtype=np.int64)
-    for rownum, row in enumerate(rows, start=1):
-        if len(row) != len(spec.names):
-            raise ValueError(f"row {rownum}: expected {len(spec.names)} levels, got {len(row)}")
-        for name, x in zip(spec.names, row):
-            if not 0 <= int(x) < spec.size(name):
-                raise ValueError(f"row {rownum}: level {x} out of range for variable {name!r}")
-        counts[tuple(int(x) for x in row)] += 1
-    return ContingencyTable(spec, counts)
+    return tabulate(spec, rows)
 
 
 def from_cell_counts(spec: LevelSpec, entries: Iterable[tuple[Sequence[int], int]]) -> ContingencyTable:
     """Build a table from (cell levels, count) pairs; repeated cells accumulate."""
-    counts = np.zeros(spec.shape, dtype=np.int64)
-    for rownum, (levels, n) in enumerate(entries, start=1):
-        if len(levels) != len(spec.names):
-            raise ValueError(f"entry {rownum}: expected {len(spec.names)} levels")
-        if int(n) < 0:
-            raise ValueError(f"entry {rownum}: negative count")
-        for name, x in zip(spec.names, levels):
-            if not 0 <= int(x) < spec.size(name):
-                raise ValueError(f"entry {rownum}: level {x} out of range for {name!r}")
-        counts[tuple(int(x) for x in levels)] += int(n)
-    return ContingencyTable(spec, counts)
+    levels, counts = tuple(zip(*entries)) or ((), ())
+    return tabulate(spec, levels, counts)
 
 
 def slice_table(
@@ -209,20 +279,13 @@ def slice_table(
     return np.einsum(table, range(table.ndim), axes).copy()
 
 
-def _axis_key(spec: LevelSpec, cell: CellIndex) -> tuple:
-    key: list = [slice(None)] * len(spec.names)
-    for v, x in zip(cell.vars, cell.levels):
-        key[spec.index(v)] = x
-    return tuple(key)
-
-
 def marginal_count(t: ContingencyTable, cell: CellIndex) -> int:
     """Count of the marginal cell: the sum over all joint cells agreeing with it.
 
     The empty cell yields the table total.
     """
     t.spec.validate_cell(cell)
-    return int(t.counts[_axis_key(t.spec, cell)].sum())
+    return int(t.marginal(cell.vars, ())[cell.levels])
 
 
 def slice_counts(t: ContingencyTable, given: CellIndex, a: Sequence[str]) -> dict[CellIndex, int]:
@@ -234,7 +297,6 @@ def slice_counts(t: ContingencyTable, given: CellIndex, a: Sequence[str]) -> dic
     if set(a) & set(given.vars):
         raise ValueError("slice variables overlap the conditioning cell")
     t.spec.validate_cell(given)
-    return {
-        cell: marginal_count(t, merge_cells(t.spec, given, cell))
-        for cell in iter_cells(a, t.spec)
-    }
+    a = t.spec.sort(a)
+    block = t.marginal(given.vars, a)[given.levels]
+    return {cell: int(block[cell.levels]) for cell in iter_cells(a, t.spec)}

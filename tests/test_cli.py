@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import contextlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +285,75 @@ class TestOversizedModel:
 
     def test_verify_names_the_limit(self, chain21):
         code, _, err = run("verify", "--graph", str(chain21))
+        assert code == 1
+        assert err.count("\n") == 1 and "1000000" in err
+
+    NAMES = [f"v{i:02d}" for i in range(21)]
+
+    @pytest.fixture()
+    def rows21(self, tmp_path):
+        rows = np.random.default_rng(2121).integers(0, 2, size=(1000, 21))
+        data = tmp_path / "rows21.csv"
+        data.write_text("\n".join([",".join(self.NAMES)] + [",".join(map(str, r)) for r in rows.tolist()]))
+        return rows, data
+
+    def _slice_rows(self, rows, block):
+        """The rows in the block's slice, restricted to the block's columns."""
+        mask = np.ones(len(rows), dtype=bool)
+        if block["slice"]:
+            cols = [self.NAMES.index(v) for v in block["slice"]["set"]]
+            mask = (rows[:, cols] == block["slice"]["cell"]).all(axis=1)
+        return rows[mask][:, [self.NAMES.index(v) for v in block["set"]]]
+
+    def test_data_commands_run_past_the_cap(self, chain21, rows21):
+        _, data = rows21
+        model = ("--model", str(chain21), "--data", str(data))
+        code, out, err = run("sample", *model, "--as", "cliq", "--n", "2", "--seed", "4")
+        assert code == 0, err
+        assert [d["kind"] for d in json.loads(out)["draws"]] == ["cliq", "cliq"]
+        code, out, err = run("posterior", *model, "--format", "json")
+        assert code == 0, err
+        for block in json.loads(out)["blocks"]:
+            sub = self._slice_rows(rows21[0], block)
+            shape = (2,) * sub.shape[1]
+            counts = np.bincount(np.ravel_multi_index(sub.T, shape), minlength=2 ** sub.shape[1])
+            counts = counts.reshape(shape)
+            want = [counts[tuple(c)] + Fraction(1, 2) for c in block["cells"]]
+            assert [Fraction(a) for a in block["alpha"]] == want
+
+    def test_cliq_loglik_matches_the_pcond_blocks(self, chain21, rows21, tmp_path):
+        rows, data = rows21
+        code, out, _ = run("sample", "--model", str(chain21), "--n", "1", "--seed", "8")
+        assert code == 0
+        pcond = json.loads(out)["draws"][0]
+        (tmp_path / "pcond.json").write_text(json.dumps(pcond))
+        code, out, err = run("transform", "--model", str(chain21), "--from", "pcond",
+                             "--to", "cliq", "--params", str(tmp_path / "pcond.json"))
+        assert code == 0, err
+        (tmp_path / "cliq.json").write_text(out)
+        code, out, err = run("loglik", "--model", str(chain21), "--data", str(data), "--as", "cliq",
+                             "--params", str(tmp_path / "cliq.json"), "--format", "json")
+        assert code == 0, err
+        terms = []
+        for block in pcond["blocks"]:
+            prob = {tuple(c): q for c, q in zip(block["cells"], block["probs"])}
+            terms += [math.log(prob[tuple(r)]) for r in self._slice_rows(rows, block).tolist()]
+        assert len(terms) == 20 * len(rows)  # one factor per clique and row
+        direct = math.fsum(terms)
+        assert abs(json.loads(out)["loglik"] - direct) <= 1e-12 * abs(direct)
+
+    def test_mod_loglik_names_the_limit(self, chain21, rows21, tmp_path):
+        from decotab.graphs import perfect_order
+        from decotab.modelio import load_model, theta_to_dict, to_json_text
+        from decotab.params import ThetaMap, canonical_keys
+
+        g, spec = load_model(chain21)
+        order = perfect_order(g)
+        zero = ThetaMap("mod", dict.fromkeys(canonical_keys("mod", order, spec), 0.0))
+        dump = tmp_path / "mod.json"
+        dump.write_text(to_json_text(theta_to_dict(zero, order, spec)))
+        code, _, err = run("loglik", "--model", str(chain21), "--data", str(rows21[1]),
+                           "--as", "mod", "--params", str(dump))
         assert code == 1
         assert err.count("\n") == 1 and "1000000" in err
 

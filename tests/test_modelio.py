@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decotab.graphs import perfect_order
 from decotab.modelio import (
@@ -22,6 +24,7 @@ from decotab.modelio import (
 from decotab.params import theta_cond_from_p, cliq_from_cond
 from decotab.priors import posterior_update, reference_prior_pcond
 from decotab.randgen import random_cond_probs, random_table
+from decotab.tables import LevelSpec
 
 
 class TestJsonRendering:
@@ -92,6 +95,66 @@ class TestDataFiles:
             parse_data_csv("a,b\n0,0\n", spec)
         with pytest.raises(FileFormatError, match="line 3"):
             parse_data_csv("a,b,c\n0,0,0\n0,x,0\n", spec)
+
+    @pytest.mark.parametrize(
+        "text, cell_counts, message",
+        [
+            ("a,b,c\n0,0,0\n\n\n0,x,0\n", False, "line 5: non-integer entry"),
+            ("\n \na,b,c\n0,0,0\n,,\n0,0\n", False, "line 6: wrong column count"),
+            ("a,b,c\n0,0,0\n\n0,5,0\n", False, "line 4: level 5 out of range for variable 'b'"),
+            ("a,b,c\r\n\r\n1,1,1\r\n  \r\n0,0,-1\r\n", False, "line 5: level -1 out of range"),
+            ("a,b,c,count\n0,0,0,5\n\n\n1,0,1,-2\n", True, "line 5: negative count"),
+            ("a,b,c,count\n0,0,0,99999999999999999999\n", True, "line 2: integer out of range"),
+            ("a,b,c\n0,1_0,0\n", False, "line 2: non-integer entry"),
+            ("a,b,c,count\n0,0,0,4611686018427387904\n1,1,1,4611686018427387904\n", True,
+             "total count exceeds"),
+        ],
+    )
+    def test_errors_name_the_file_line(self, chain3, text, cell_counts, message):
+        _, spec = chain3
+        with pytest.raises(FileFormatError, match=f"^<data>: {message}"):
+            parse_data_csv(text, spec, cell_counts=cell_counts)
+
+    def test_blank_lines_and_quotes_are_accepted(self, chain3):
+        _, spec = chain3
+        t = parse_data_csv('\n"c", a ,b\n\n"1", 0 ,1\r\n,,\n  \n"","",""\n1,1,1', spec)
+        assert t.total == 2 and t.counts[0, 1, 1] == 1 and t.counts[1, 1, 1] == 1
+
+    def test_header_only_is_an_empty_table(self, chain3):
+        _, spec = chain3
+        assert parse_data_csv("a,b,c\n\n", spec).total == 0
+        with pytest.raises(FileFormatError, match="empty file"):
+            parse_data_csv(" \n,,\n", spec)
+
+
+_BLANK_LINES = ("", "   ", ",,", " , ,\t", '"",""')
+
+
+@given(data=st.data(), sizes=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+       cell_counts=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_parse_data_csv_matches_bincount(data, sizes, cell_counts):
+    names = tuple(f"v{i}" for i in range(len(sizes)))
+    spec = LevelSpec(names, tuple(sizes))
+    n_rows = data.draw(st.integers(0, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, sizes, size=(n_rows, len(sizes)))
+    counts = rng.integers(0, 4, size=n_rows) if cell_counts else np.ones(n_rows, np.int64)
+    columns = list(names) + (["count"] if cell_counts else [])
+    header = data.draw(st.permutations(columns))
+    table = np.column_stack([rows, counts]) if cell_counts else rows
+    lines = [",".join(header)]
+    for record in table[:, [columns.index(h) for h in header]].tolist():
+        quote = data.draw(st.lists(st.booleans(), min_size=len(record), max_size=len(record)))
+        lines.append(",".join(f'"{x}"' if q else str(x) for x, q in zip(record, quote)))
+    for _ in range(data.draw(st.integers(0, 4))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(_BLANK_LINES)))
+    text = "\n".join(lines) + data.draw(st.sampled_from(("", "\n")))
+    t = parse_data_csv(text, spec, cell_counts=cell_counts)
+    want = np.zeros(spec.n_cells(), np.int64)
+    np.add.at(want, np.ravel_multi_index(rows.T, spec.shape), counts)
+    assert np.array_equal(t.counts, want.reshape(spec.shape))
+    assert t.total == counts.sum()
 
 
 class TestParameterDumps:

@@ -38,7 +38,7 @@ from decotab.randgen import (
     random_positive_joint,
     random_table,
 )
-from decotab.tables import CellIndex, LevelSpec, iter_cells, nonempty_subsets
+from decotab.tables import CellIndex, LevelSpec, TableTooLargeError, iter_cells, nonempty_subsets
 
 
 def uniform_joint(spec):
@@ -172,6 +172,16 @@ class TestCumulant:
         theta = ThetaMap("mod", {ParamKey(("b",), (1,)): 0.1})
         with pytest.raises(ValueError):
             cumulant(theta, ("a",), spec)
+
+    def test_refuses_an_oversized_table_before_allocating(self, monkeypatch):
+        spec = LevelSpec(tuple(f"v{i}" for i in range(21)), (2,) * 21)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(TableTooLargeError, match="1000000"):
+            cumulant(ThetaMap("mod", {}), spec.names, spec)
 
 
 class TestThetaCond:

@@ -8,13 +8,17 @@ from decotab.tables import (
     CellIndex,
     ContingencyTable,
     LevelSpec,
+    RowError,
+    TableTooLargeError,
     from_cell_counts,
     ingest_rows,
     iter_cells,
     marginal_count,
     merge_cells,
     slice_counts,
+    slice_table,
     starred_cells,
+    tabulate,
 )
 
 
@@ -167,3 +171,94 @@ def test_ingest_matches_multiplicities(data, sizes):
     assert t.total == len(rows)
     for row in rows:
         assert t.counts[row] == rows.count(row)
+
+
+class TestTabulate:
+    def test_error_names_row(self):
+        spec = LevelSpec(("a", "b"), (2, 3))
+        with pytest.raises(RowError, match="row 3: level 3 out of range for variable 'b'"):
+            tabulate(spec, np.array([[0, 0], [1, 2], [0, 3]]))
+        with pytest.raises(RowError, match="row 2: negative count") as info:
+            tabulate(spec, [(0, 0), (1, 7)], [4, -1])
+        assert info.value.index == 1 and info.value.detail == "negative count"
+        with pytest.raises(ValueError, match="row 2: expected 2 levels, got 3"):
+            ingest_rows(spec, [(0, 0), (0, 1, 1)])
+
+    def test_levels_are_stored_small(self):
+        t = tabulate(LevelSpec(("a", "b"), (2, 300)), [(1, 299), (0, 0)])
+        assert t.levels.dtype == np.uint16 and t.row_counts.dtype == np.int64
+        assert t.total == 2
+
+    def test_counts_beyond_2_pow_53_are_exact(self):
+        big = [2**53 + 1, 2**60 + 3, 2**53 + 1]
+        t = from_cell_counts(LevelSpec(("a", "b"), (2, 2)), [((1, 0), big[0]), ((1, 1), big[1]), ((1, 0), big[2])])
+        assert t.counts[1, 0] == 2**54 + 2 and t.counts[1, 1] == 2**60 + 3
+        assert int(t.marginal(("a",), ())[1]) == sum(big) and t.total == sum(big)
+
+    def test_dense_table_refused_beyond_the_cap(self):
+        names = tuple(f"v{i:02d}" for i in range(21))
+        spec = LevelSpec(names, (2,) * 21)
+        rows = np.random.default_rng(3).integers(0, 2, size=(50, 21))
+        t = tabulate(spec, rows)
+        with pytest.raises(TableTooLargeError, match="1000000"):
+            t.counts
+        assert t.marginal(("v03",), ("v04",)).sum() == 50
+
+    def test_marginal_is_read_only_and_memoized(self, rng):
+        spec = LevelSpec(("a", "b", "c"), (2, 3, 2))
+        t = tabulate(spec, rng.integers(0, 2, size=(40, 3)))
+        m = t.marginal(("c",), ("a",))
+        assert m.shape == (2, 2) and not m.flags.writeable
+        assert np.shares_memory(m, t.marginal(("a",), ("c",)))
+        with pytest.raises(ValueError, match="repeated"):
+            t.marginal(("a",), ("a",))
+
+
+@given(data=st.data(), sizes=st.lists(st.integers(2, 4), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_marginal_matches_slice_table(data, sizes):
+    names = tuple(f"v{i}" for i in range(len(sizes)))
+    spec = LevelSpec(names, tuple(sizes))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dense = ContingencyTable(spec, rng.integers(0, 5, size=spec.shape))
+    rows = tabulate(spec, np.argwhere(np.ones(spec.shape)).repeat(dense.counts.reshape(-1), axis=0))
+    chosen = data.draw(st.permutations(names).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda k: list(p[:k]))))
+    split = data.draw(st.integers(0, len(chosen)))
+    given_, free = tuple(chosen[:split]), tuple(chosen[split:])
+    want = slice_table(dense.counts, spec, given_, free)
+    for t in (dense, rows):
+        got = t.marginal(given_, free)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_consumers_never_read_the_dense_table(monkeypatch, branch11, rng):
+    from decotab.cuts import CutProbs, cut_decomposition, cut_loglik
+    from decotab.graphs import perfect_order
+    from decotab.params import SufficientStats
+    from decotab.priors import posterior_update, reference_prior_pcond
+    from decotab.randgen import random_cond_probs, random_table
+
+    g, spec = branch11
+    order = perfect_order(g)
+    p = random_cond_probs(rng, order, spec).joint()
+    dense = random_table(rng, p, 500)
+    dec = cut_decomposition(g, ("1", "2", "3", "4"))
+    probs = CutProbs.from_joint(p, dec)
+    prior = reference_prior_pcond(order, spec)
+
+    def run(t):
+        return (SufficientStats.from_table(t, order), posterior_update(prior, t),
+                cut_loglik(dec, probs, t))
+
+    want = run(dense)
+    rows = tabulate(spec, np.argwhere(dense.counts).repeat(dense.counts[dense.counts > 0], axis=0))
+
+    def refuse(self):
+        raise AssertionError("the dense table was read")
+
+    monkeypatch.setattr(ContingencyTable, "counts", property(refuse))
+    stats, post, cut = run(rows)
+    assert frozenset(spec.names) not in rows._marginals
+    assert stats == want[0] and post == want[1] and cut == want[2]
