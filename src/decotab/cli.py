@@ -10,10 +10,12 @@ default tolerance used by `verify`.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import traceback
 from fractions import Fraction
+from pathlib import Path
 
 from .cuts import NotACutError, cut_decomposition, cut_reference_prior, is_cut
 from .graphs import NotDecomposableError, check_decomposable, perfect_order
@@ -30,7 +32,6 @@ from .modelio import (
     theta_to_dict,
     to_json_text,
 )
-from .oracle import run_verification
 from .params import (
     SufficientStats,
     cliq_from_cond,
@@ -197,14 +198,16 @@ def cmd_check(args) -> int:
 
 
 def _read_params(path: str, kind: str, order, spec):
-    import json as _json
-
     try:
-        doc = _json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UserError(f"{path}: cannot read ({exc})")
-    except _json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise UserError(f"{path}: not UTF-8 text ({exc})")
+    except ValueError as exc:
         raise UserError(f"{path}: not valid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise UserError(f"{path}: expected a JSON object with a 'kind' key")
     found = doc.get("kind")
     if found != kind:
         raise UserError(f"{path}: dump kind {found!r} does not match --from {kind!r}")
@@ -333,6 +336,9 @@ def cmd_posterior(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 0:
+        raise UserError("--n must be nonnegative")
+    _check_seed(args.seed)
     g, spec = _load(args.model)
     order = perfect_order(g)
     blocks = reference_prior_pcond(order, spec)
@@ -341,8 +347,6 @@ def cmd_sample(args) -> int:
         t = load_data(args.data, spec, cell_counts=args.cell_counts)
         blocks = posterior_update(blocks, t)
         source = "posterior"
-    if args.n < 0:
-        raise UserError("--n must be nonnegative")
     draws = sample_posterior(blocks, order, seed=args.seed, n_draws=args.n)
     rendered = []
     for cp in draws:
@@ -417,8 +421,28 @@ def cmd_cut(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UserError("--seed must be nonnegative")
+
+
+def _verify_tol() -> float:
+    raw = os.environ.get("DECOTAB_TOL", "1e-9")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = float("nan")
+    if not tol >= 0:
+        raise UserError(f"DECOTAB_TOL must be a nonnegative number, got {raw!r}")
+    return tol
+
+
 def cmd_verify(args) -> int:
-    tol = float(os.environ.get("DECOTAB_TOL", "1e-9"))
+    # Only verify needs the oracle; importing it here spares every other command.
+    from .oracle import run_verification
+
+    _check_seed(args.seed)
+    tol = _verify_tol()
     report = run_verification(seed=args.seed, graph_source=args.graph, base_tol=tol)
     doc = {
         "all_passed": report.all_passed,

@@ -7,13 +7,15 @@ re-read through any IEEE-754 double parser reproduces the value bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import re
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .params import (
     canonical_keys,
 )
 from .priors import DirichletBlock, DirichletBlocks
-from .tables import ContingencyTable, LevelSpec, RowError, tabulate
+from .tables import ContingencyTable, LevelSpec, RowError, iter_cells, tabulate
 
 FIXTURES = ("chain3", "thick6", "branch11")
 
@@ -39,51 +41,91 @@ class FileFormatError(ValueError):
 # JSON rendering with fixed float formatting
 
 
-def _render(obj: Any, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{pad}  {json.dumps(str(k))}: ")
-            _render(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        simple = all(isinstance(x, (int, float, str, bool)) for x in seq)
-        if simple:
-            out.append("[" + ", ".join(_scalar(x) for x in seq) + "]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(seq):
-            out.append(pad + "  ")
-            _render(v, out, indent + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_scalar(obj))
+# A list or tuple holding only these renders on one line (None and numpy
+# integers are not among them); bool is an int.
+_INLINE_ITEMS = (int, float, str)
 
 
 def _scalar(x: Any) -> str:
-    if isinstance(x, bool) or x is None:
-        return json.dumps(x)
+    t = type(x)
+    if t is float:
+        return format(x, ".17g")
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return str(x)
+    if t is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
-    return json.dumps(str(x))
+    return _quote(str(x))
+
+
+def _inline(x: Any) -> str | None:
+    """The one-line text of a scalar, an empty container or a list of scalars;
+    None for a container that renders over several lines."""
+    if type(x) is float:
+        return format(x, ".17g")
+    if isinstance(x, (list, tuple)):
+        parts = []
+        for v in x:
+            t = type(v)
+            if t is float:
+                parts.append(format(v, ".17g"))
+            elif t is str:
+                parts.append(_quote(v))
+            elif t is int:
+                parts.append(str(v))
+            elif isinstance(v, _INLINE_ITEMS):
+                parts.append(_scalar(v))
+            else:
+                return None
+        return "[" + ", ".join(parts) + "]"
+    if isinstance(x, dict):
+        return None if x else "{}"
+    return _scalar(x)
+
+
+def _render(obj: dict | list | tuple, out: list[str], pad: str) -> None:
+    """Append a container over several lines; ``pad`` indents the line it opens on."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            text = _inline(v)
+            if text is None:
+                out.append(f"{sep}{_quote(str(k))}: ")
+                _render(v, out, inner)
+            else:
+                out.append(f"{sep}{_quote(str(k))}: {text}")
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        sep = "[\n" + inner
+        for v in obj:
+            text = _inline(v)
+            if text is None:
+                out.append(sep)
+                _render(v, out, inner)
+            else:
+                out.append(sep + text)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
 
 
 def to_json_text(obj: Any) -> str:
+    """Indented JSON, every float with 17 significant digits, in one pass."""
+    text = _inline(obj)
+    if text is not None:
+        return text + "\n"
     out: list[str] = []
-    _render(obj, out, 0)
-    return "".join(out) + "\n"
+    _render(obj, out, "")
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +139,8 @@ def parse_model(text: str, source: str = "<model>") -> tuple[LabeledGraph, Level
         raise FileFormatError(f"{source}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "variables" not in doc or "edges" not in doc:
         raise FileFormatError(f"{source}: expected keys 'variables' and 'edges'")
+    if not isinstance(doc["variables"], list) or not isinstance(doc["edges"], list):
+        raise FileFormatError(f"{source}: 'variables' and 'edges' must be lists")
     if not doc["variables"]:
         raise FileFormatError(f"{source}: at least one variable is required")
     names, sizes = [], []
@@ -126,11 +170,16 @@ def parse_model(text: str, source: str = "<model>") -> tuple[LabeledGraph, Level
 
 def load_model(path: str | Path) -> tuple[LabeledGraph, LevelSpec]:
     p = Path(path)
+    return parse_model(_read_text(p), str(p))
+
+
+def _read_text(p: Path) -> str:
     try:
-        text = p.read_text()
+        return p.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"{p}: cannot read ({exc})") from exc
-    return parse_model(text, str(p))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{p}: not UTF-8 text ({exc})") from exc
 
 
 def model_to_dict(graph: LabeledGraph, spec: LevelSpec) -> dict:
@@ -229,11 +278,7 @@ def _raise_located(text: str, n_columns: int, source: str, exc: Exception | None
 
 def load_data(path: str | Path, spec: LevelSpec, *, cell_counts: bool = False) -> ContingencyTable:
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise FileFormatError(f"{p}: cannot read ({exc})") from exc
-    return parse_data_csv(text, spec, cell_counts=cell_counts, source=str(p))
+    return parse_data_csv(_read_text(p), spec, cell_counts=cell_counts, source=str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +286,29 @@ def load_data(path: str | Path, spec: LevelSpec, *, cell_counts: bool = False) -
 
 
 def theta_to_dict(theta: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> dict:
+    values = theta.values
     entries = []
-    for key in canonical_keys(theta.kind, order, spec):
+    for key, sliced in _theta_layout(theta.kind, order, spec):
         entry: dict[str, Any] = {"set": list(key.vars), "cell": list(key.cell)}
-        if theta.kind in ("cond", "xi") and _is_slice_key(key, order):
+        if sliced:
             entry["slice"] = {"set": list(key.given_vars), "cell": list(key.given_cell)}
-        entry["value"] = theta.values[key]
+        entry["value"] = values[key]
         entries.append(entry)
     return {"kind": theta.kind, "entries": entries}
 
 
-def _is_slice_key(key: ParamKey, order: CliqueOrder) -> bool:
-    return not set(key.vars) <= set(order.cliques[0])
+@functools.lru_cache(maxsize=64)
+def _theta_layout(
+    kind: str, order: CliqueOrder, spec: LevelSpec
+) -> tuple[tuple[ParamKey, bool], ...]:
+    """Canonical keys of ``kind``, each flagged when its entry names a slice: a
+    ``cond``/``xi`` key outside the first clique."""
+    first = set(order.cliques[0])
+    slices = kind in ("cond", "xi")
+    return tuple(
+        (key, slices and not set(key.vars) <= first)
+        for key in canonical_keys(kind, order, spec)
+    )
 
 
 def theta_from_dict(doc: dict, order: CliqueOrder, spec: LevelSpec, source: str = "<params>") -> ThetaMap:
@@ -261,6 +317,8 @@ def theta_from_dict(doc: dict, order: CliqueOrder, spec: LevelSpec, source: str 
     kind = doc["kind"]
     if kind not in ("mod", "cond", "cliq", "xi"):
         raise FileFormatError(f"{source}: unknown kind {kind!r}")
+    if not isinstance(doc["entries"], list):
+        raise FileFormatError(f"{source}: 'entries' must be a list")
     values: dict[ParamKey, float] = {}
     for i, entry in enumerate(doc["entries"]):
         try:
@@ -277,7 +335,7 @@ def theta_from_dict(doc: dict, order: CliqueOrder, spec: LevelSpec, source: str 
                 gvars = tuple(str(v) for v in given["set"])
                 gcell = tuple(int(x) for x in given["cell"])
             value = float(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FileFormatError(f"{source}: entries[{i}] malformed ({exc})") from exc
         values[ParamKey(vars_, cell, gvars, gcell)] = value
     expected = set(canonical_keys(kind, order, spec))
@@ -303,20 +361,19 @@ def condprobs_to_dict(cp: CondProbs) -> dict:
                 "clique": l,
                 "set": list(vars_),
                 "slice": None if l == 1 else {"set": list(given_vars), "cell": list(s_levels)},
-                "cells": [list(c.levels) for c in _cells_of(vars_, cp.spec)],
-                "probs": [
-                    float(cp.blocks[(l, s_levels)][c.levels])
-                    for c in _cells_of(vars_, cp.spec)
-                ],
+                "cells": [list(c) for c in _block_cells(vars_, cp.spec)],
+                # Block axes follow spec order, so Fortran order (first variable
+                # fastest) is the order of the cells.
+                "probs": cp.blocks[(l, s_levels)].ravel(order="F").tolist(),
             }
         )
     return {"kind": "pcond", "blocks": blocks}
 
 
-def _cells_of(vars_: Sequence[str], spec: LevelSpec):
-    from .tables import iter_cells
-
-    return list(iter_cells(vars_, spec))
+@functools.lru_cache(maxsize=256)
+def _block_cells(vars_: tuple[str, ...], spec: LevelSpec) -> tuple[tuple[int, ...], ...]:
+    """Level tuples of every cell over ``vars_``, first variable fastest."""
+    return tuple(c.levels for c in iter_cells(vars_, spec))
 
 
 def condprobs_from_dict(
@@ -324,6 +381,8 @@ def condprobs_from_dict(
 ) -> CondProbs:
     if not isinstance(doc, dict) or doc.get("kind") != "pcond" or "blocks" not in doc:
         raise FileFormatError(f"{source}: expected a pcond dump with 'blocks'")
+    if not isinstance(doc["blocks"], list):
+        raise FileFormatError(f"{source}: 'blocks' must be a list")
     expected = block_keys(order, spec)
     blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     for i, b in enumerate(doc["blocks"]):
@@ -333,10 +392,10 @@ def condprobs_from_dict(
             vars_ = order.cliques[0] if l == 1 else order.residuals[l - 1]
             cells = [tuple(int(x) for x in c) for c in b["cells"]]
             probs = [float(x) for x in b["probs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, IndexError) as exc:
             raise FileFormatError(f"{source}: blocks[{i}] malformed ({exc})") from exc
-        want = [c.levels for c in _cells_of(vars_, spec)]
-        if cells != want or len(probs) != len(want):
+        want = _block_cells(vars_, spec)
+        if tuple(cells) != want or len(probs) != len(want):
             raise FileFormatError(f"{source}: blocks[{i}] cell list mismatch")
         shape = tuple(spec.size(v) for v in vars_)
         arr = np.empty(shape, dtype=float)

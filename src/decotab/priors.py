@@ -9,6 +9,7 @@ fictitious counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,18 +176,22 @@ def sample_blocks(
     within a draw the blocks consume that generator in canonical block
     order.  Identical seeds give identical draws regardless of how draws are
     distributed across workers.
+
+    A draw is one ``gamma`` call over every block's hyperparameters in that
+    order, which consumes the generator exactly as one call per block would;
+    each block's slice is then normalized by its own ``sum`` (a segmented
+    sum such as ``np.add.reduceat`` adds in another order and would change
+    the last bits).
     """
     if n_draws < 0:
         raise ValueError("n_draws must be nonnegative")
-    children = np.random.SeedSequence(seed).spawn(n_draws)
+    alpha = np.array([a for b in blocks.blocks for a in b.alpha], dtype=float)
+    ends = list(itertools.accumulate(b.dim for b in blocks.blocks))
+    spans = list(zip([0] + ends, ends))
     draws = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        vecs = []
-        for b in blocks.blocks:
-            g = rng.gamma(shape=np.asarray(b.alpha, dtype=float))
-            vecs.append(g / g.sum())
-        draws.append(vecs)
+    for child in np.random.SeedSequence(seed).spawn(n_draws):
+        g = np.random.default_rng(child).gamma(shape=alpha)
+        draws.append([(v := g[lo:hi]) / v.sum() for lo, hi in spans])
     return draws
 
 

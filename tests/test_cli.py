@@ -247,6 +247,51 @@ class TestExitCodes:
         assert code == 2
         assert "internal error" in err
 
+    NOT_UTF8 = b'{"variables": [{"name": "\xff", "levels": 2}], "edges": []}'
+    COND = ("transform", "--model", "chain3", "--from", "cond", "--to", "xi",
+            "--params", "{params}")
+    PCOND = ("transform", "--model", "chain3", "--from", "pcond", "--to", "xi",
+             "--params", "{params}")
+    VERIFY = ("verify", "--graph", "chain3")
+
+    @pytest.mark.parametrize("files, argv, env, fragment", [
+        pytest.param({"model": NOT_UTF8}, ("check", "--model", "{model}"), {},
+                     "model.json: not UTF-8", id="model-not-utf8"),
+        pytest.param({"params": NOT_UTF8}, COND, {}, "params.json: not UTF-8",
+                     id="params-not-utf8"),
+        pytest.param({"data": b"a,b,c\n\xff,0,0\n"},
+                     ("posterior", "--model", "chain3", "--data", "{data}"), {},
+                     "data.csv: not UTF-8", id="data-not-utf8"),
+        pytest.param({"params": b"[1, 2]"}, COND, {}, "params.json: expected a JSON object",
+                     id="params-not-an-object"),
+        pytest.param({"params": b'{"kind": "cond", "entries": 5}'}, COND, {},
+                     "params.json: 'entries' must be a list", id="entries-not-a-list"),
+        pytest.param({"params": b'{"kind": "pcond", "blocks": 5}'}, PCOND, {},
+                     "params.json: 'blocks' must be a list", id="blocks-not-a-list"),
+        pytest.param({}, ("sample", "--model", "chain3", "--n", "1", "--seed", "-1"), {},
+                     "--seed must be nonnegative", id="negative-seed"),
+        pytest.param({"data": b"\xff"}, ("sample", "--model", "chain3", "--data", "{data}",
+                                         "--n", "1", "--seed", "-1"), {},
+                     "--seed must be nonnegative", id="seed-checked-before-data"),
+        pytest.param({"data": b"\xff"}, ("sample", "--model", "chain3", "--data", "{data}",
+                                         "--n", "-1", "--seed", "1"), {},
+                     "--n must be nonnegative", id="n-checked-before-data"),
+        pytest.param({}, VERIFY, {"DECOTAB_TOL": "abc"}, "DECOTAB_TOL", id="tol-not-a-number"),
+        pytest.param({}, VERIFY, {"DECOTAB_TOL": "nan"}, "DECOTAB_TOL", id="tol-nan"),
+        pytest.param({}, VERIFY, {"DECOTAB_TOL": "-1e-9"}, "DECOTAB_TOL", id="tol-negative"),
+    ])
+    def test_user_errors_exit_1_with_one_line(self, tmp_path, monkeypatch, files, argv, env,
+                                              fragment):
+        names = {"model": "model.json", "params": "params.json", "data": "data.csv"}
+        paths = {role: str(tmp_path / names[role]) for role in names}
+        for role, content in files.items():
+            Path(paths[role]).write_bytes(content)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        code, _, err = run(*(a.format(**paths) for a in argv))
+        assert code == 1
+        assert err.count("\n") == 1 and fragment in err
+
 
 class TestOversizedModel:
     """A 21-variable binary chain: 2**21 full-table cells, 4 per clique."""

@@ -41,6 +41,88 @@ class TestJsonRendering:
     def test_integers_stay_integers(self):
         assert to_json_text([1, 2, 3]).strip() == "[1, 2, 3]"
 
+    def test_keys_and_strings_skip_json_dumps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        doc = {"k\u00e9y": ["v", "\"q\""], 3: {"s": "t", "n": None, "b": True}}
+        assert json.loads(to_json_text(doc)) == {
+            "k\u00e9y": ["v", '"q"'], "3": {"s": "t", "n": None, "b": True}
+        }
+
+
+def _reference_render(obj, out, indent):
+    """The recursive renderer that ``to_json_text`` replaced, kept as its oracle."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(f"{pad}  {json.dumps(str(k))}: ")
+            _reference_render(v, out, indent + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        simple = all(isinstance(x, (int, float, str, bool)) for x in seq)
+        if simple:
+            out.append("[" + ", ".join(_reference_scalar(x) for x in seq) + "]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(seq):
+            out.append(pad + "  ")
+            _reference_render(v, out, indent + 1)
+            out.append(",\n" if i < len(seq) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        out.append(_reference_scalar(obj))
+
+
+def _reference_scalar(x):
+    if isinstance(x, bool) or x is None:
+        return json.dumps(x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return json.dumps(str(x))
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                          st.characters()))
+_SCALARS = st.one_of(
+    st.floats(),  # NaN, +-inf and -0.0 included
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(_TEXT, st.integers()), inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@given(obj=_VALUES)
+@settings(max_examples=120, deadline=None)
+def test_to_json_text_matches_the_reference_renderer(obj):
+    out = []
+    _reference_render(obj, out, 0)
+    assert to_json_text(obj) == "".join(out) + "\n"
+
 
 class TestModelFiles:
     def test_fixture_round_trip(self):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decotab.graphs import perfect_order
 from decotab.params import (
@@ -21,8 +23,8 @@ from decotab.priors import (
     sample_blocks,
     sample_posterior,
 )
-from decotab.randgen import random_cond_probs, random_table
-from decotab.tables import CellIndex, ContingencyTable, ingest_rows, marginal_count
+from decotab.randgen import random_cond_probs, random_model, random_table
+from decotab.tables import CellIndex, ContingencyTable, ingest_rows, marginal_count, tabulate
 
 
 def half_log_prob_mass(cp):
@@ -238,6 +240,57 @@ class TestSampling:
         draws = sample_blocks(blocks, seed=99, n_draws=10_000)
         mean = np.mean([v[0] for v in draws], axis=0)
         assert np.abs(mean - np.array([0.7, 0.3])).max() < 0.02
+
+
+def documented_stream(blocks, seed, n_draws):
+    """The stream rule, literally: draw d uses SeedSequence(seed).spawn(n)[d], and
+    its blocks take one gamma call each, in canonical order, then normalize."""
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(n_draws):
+        rng = np.random.default_rng(child)
+        vecs = []
+        for b in blocks.blocks:
+            g = rng.gamma(shape=np.asarray(b.alpha, dtype=float))
+            vecs.append(g / g.sum())
+        draws.append(vecs)
+    return draws
+
+
+@given(model_seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 4000),
+       seed=st.integers(0, 2**63 - 1))
+@example(model_seed=0, n_rows=0, seed=1)  # a 48-cell block, every alpha 1/2
+@example(model_seed=1, n_rows=4000, seed=2)
+@settings(max_examples=40, deadline=None)
+def test_sample_blocks_is_bit_identical_to_the_documented_stream(model_seed, n_rows, seed):
+    rng = np.random.default_rng(model_seed)
+    g, order, spec = random_model(rng, int(rng.integers(2, 9)), max_levels=4)
+    # Skewed level frequencies leave some cells empty (alpha 1/2) and fill others.
+    levels = np.column_stack([
+        rng.choice(spec.size(v), size=n_rows, p=rng.dirichlet(np.full(spec.size(v), 0.3)))
+        for v in spec.names
+    ])
+    post = posterior_update(reference_prior_pcond(order, spec), tabulate(spec, levels))
+    got = sample_blocks(post, seed, 3)
+    want = documented_stream(post, seed, 3)
+    assert [[v.tobytes() for v in d] for d in got] == [[v.tobytes() for v in d] for d in want]
+
+
+def test_sample_blocks_calls_gamma_once_per_draw(thick6, monkeypatch):
+    g, spec = thick6
+    prior = reference_prior_pcond(perfect_order(g), spec)
+    calls = []
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = np.random.Generator(np.random.PCG64(seed))
+
+        def gamma(self, *args, **kwargs):
+            calls.append(kwargs)
+            return self.rng.gamma(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    sample_blocks(prior, seed=5, n_draws=4)
+    assert len(prior.blocks) > 1 and len(calls) == 4
 
 
 class TestThetaPriors:
