@@ -20,14 +20,14 @@ from pathlib import Path
 from .cuts import NotACutError, cut_decomposition, cut_reference_prior, is_cut
 from .graphs import NotDecomposableError, check_decomposable, perfect_order
 from .modelio import (
+    FIXTURES,
     FileFormatError,
     blocks_to_dict,
     condprobs_from_dict,
     condprobs_to_dict,
-    fixture_text,
     load_data,
+    load_fixture,
     load_model,
-    parse_model,
     theta_from_dict,
     theta_to_dict,
     to_json_text,
@@ -158,8 +158,8 @@ def _build_parser() -> _Parser:
 
 
 def _load(path: str):
-    if path in ("chain3", "thick6", "branch11"):
-        return parse_model(fixture_text(path), f"fixture:{path}")
+    if path in FIXTURES:
+        return load_fixture(path)
     return load_model(path)
 
 

@@ -148,10 +148,10 @@ def parse_model(text: str, source: str = "<model>") -> tuple[LabeledGraph, Level
         if not isinstance(entry, dict) or "name" not in entry or "levels" not in entry:
             raise FileFormatError(f"{source}: variables[{i}] needs 'name' and 'levels'")
         names.append(str(entry["name"]))
-        try:
-            sizes.append(int(entry["levels"]))
-        except (TypeError, ValueError):
+        levels = entry["levels"]
+        if not isinstance(levels, int) or isinstance(levels, bool):
             raise FileFormatError(f"{source}: variables[{i}].levels must be an integer")
+        sizes.append(levels)
     try:
         spec = LevelSpec(tuple(names), tuple(sizes))
     except ValueError as exc:

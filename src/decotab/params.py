@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -430,12 +430,6 @@ def _spec_of(theta: ThetaMap, order: CliqueOrder) -> LevelSpec:
     return LevelSpec(order.vertices, tuple(top[v] + 1 for v in order.vertices))
 
 
-def _on_support(s: CellIndex) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """A full separator cell as (its support, its levels there)."""
-    supp = s.support()
-    return supp, s.restrict(supp).levels
-
-
 # ---------------------------------------------------------------------------
 # mod <-> joint probabilities
 
@@ -620,8 +614,8 @@ def mod_from_cliq(cliq: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> ThetaM
     for l in range(1, order.k):
         log_norms = _cliq_log_norms(arrays[l], order, l)
         for s in iter_cells(order.separators[l], spec):
-            if any(s.levels):
-                values[ParamKey(*_on_support(s))] -= float(log_norms[s.levels])
+            if supp := s.support():
+                values[ParamKey(supp, s.restrict(supp).levels)] -= float(log_norms[s.levels])
     return ThetaMap("mod", values)
 
 
@@ -641,61 +635,69 @@ def cliq_from_mod(mod: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> ThetaMa
 # Sufficient statistics and the likelihood in each parametrization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SufficientStats:
-    """Canonical statistics paired with each parametrization.
+    """Cell counts of every clique table, with the statistics each likelihood form reads.
 
-    ``mod`` holds marginal counts for every (complete set, starred cell);
-    the ``cliq`` statistics reuse them.  ``cond`` holds per-slice counts with
-    their slice totals; ``cliq_totals`` the per-slice-support totals.  Values
-    are reals so fictitious (half-integer) counts fit the same carrier.
+    ``tables[l]`` counts clique l's cells over S_l + R_l; counts are reals so
+    fictitious (half-integer) counts fit the same carrier.  Derived once with
+    :func:`_margins`: ``cond`` (margins along R_l), ``mod`` (along every axis;
+    also the ``cliq`` statistics) and their residual-baseline slices over S_l,
+    the per-slice totals ``cond_totals`` and per-support totals ``cliq_totals``.
     """
 
     order: CliqueOrder
     spec: LevelSpec
     n_total: float
-    mod: dict[ParamKey, float]
-    cond: dict[ParamKey, float]
-    cond_totals: dict[tuple[int, tuple[int, ...]], float]
-    cliq_totals: dict[tuple[int, tuple[str, ...], tuple[int, ...]], float]
+    tables: tuple[np.ndarray, ...]
+    cond: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    mod: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    cond_totals: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    cliq_totals: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        derived = {k: [] for k in ("tables", "cond", "mod", "cond_totals", "cliq_totals")}
+        for l, n in enumerate(self.tables):
+            n = np.array(n, dtype=float)
+            cond = _margins(n.copy(), _res_axes(self.order, l))
+            mod = _margins(cond.copy(), _sep_axes(self.order, l))
+            base = (Ellipsis,) + (0,) * len(self.order.residuals[l])
+            # Contiguous totals keep np.vdot's summation order, so results are bit-stable.
+            for name, arr in zip(derived, (n, cond, mod, cond[base].copy(), mod[base].copy())):
+                arr.flags.writeable = False
+                derived[name].append(arr)
+        for name, arrays in derived.items():
+            object.__setattr__(self, name, tuple(arrays))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SufficientStats)
+            and (self.order, self.spec, self.n_total) == (other.order, other.spec, other.n_total)
+            and all(map(np.array_equal, self.tables, other.tables))
+        )
 
     @classmethod
     def from_table(cls, t: ContingencyTable, order: CliqueOrder) -> "SufficientStats":
         """Read off one marginal count table per clique (counts are exact in floats)."""
-        spec = t.spec
-        mod, cond = [], []
-        cond_totals: dict[tuple[int, tuple[int, ...]], float] = {}
-        cliq_totals: dict[tuple[int, tuple[str, ...], tuple[int, ...]], float] = {}
-        for l in range(order.k):
-            s_vars, r_vars = order.separators[l], order.residuals[l]
-            n = t.marginal(s_vars, r_vars).astype(float)
-            cond.append(_margins(n, _res_axes(order, l)).copy())
-            mod.append(_margins(n, _sep_axes(order, l)))
-            if l:  # the first clique's one slice total is t.total
-                # Residual-baseline slices: counts per separator cell, then per support.
-                base = (Ellipsis,) + (0,) * len(r_vars)
-                for s in iter_cells(s_vars, spec):
-                    cond_totals[(l + 1, s.levels)] = float(cond[l][base][s.levels])
-                    cliq_totals[(l + 1, *_on_support(s))] = float(n[base][s.levels])
-        return cls(
-            order, spec, float(t.total),
-            _unpack(mod, "mod", order, spec), _unpack(cond, "cond", order, spec),
-            cond_totals, cliq_totals,
+        tables = (t.marginal(s, r) for s, r in zip(order.separators, order.residuals))
+        return cls(order, t.spec, float(t.total), tuple(tables))
+
+    @classmethod
+    def halves(cls, order: CliqueOrder, spec: LevelSpec) -> "SufficientStats":
+        """Half a count in every cell of every clique table: the reference prior's pseudo-data.
+
+        Every Dirichlet(1/2) block is a slice of one of these tables, so the
+        prior is the likelihood of these statistics (its conjugate form).
+        """
+        tables = (
+            np.full(_shape(spec, s + r), 0.5) for s, r in zip(order.separators, order.residuals)
         )
+        return cls(order, spec, spec.n_cells(order.cliques[0]) / 2, tuple(tables))
 
-
-def _slice_totals(stats: SufficientStats, kind: str, l: int) -> np.ndarray:
-    """Counts paired with clique ``l``'s per-slice log normalizers, over S_l."""
-    s_vars = stats.order.separators[l]
-    if not l:
-        return np.asarray(stats.n_total)
-    out = np.empty(_shape(stats.spec, s_vars))
-    for s in iter_cells(s_vars, stats.spec):
-        if kind == "cond":
-            out[s.levels] = stats.cond_totals[(l + 1, s.levels)]
-        else:
-            out[s.levels] = stats.cliq_totals[(l + 1, *_on_support(s))]
-    return out
+    def entries(self, kind: str) -> dict[ParamKey, float]:
+        """The counts paired with each ``cond`` or ``cliq``/``mod`` coordinate, in key order."""
+        layout = _LAYOUT[kind]
+        return _unpack(self.cond if layout == "cond" else self.mod, layout, self.order, self.spec)
 
 
 def loglik(theta: ThetaMap, stats: SufficientStats) -> float:
@@ -709,19 +711,18 @@ def loglik(theta: ThetaMap, stats: SufficientStats) -> float:
     if kind not in ("mod", "cond", "cliq"):
         raise ValueError(f"no likelihood form for kind {kind!r}")
     order, spec = stats.order, stats.spec
-    counts = stats.cond if kind == "cond" else stats.mod
-    if set(theta.values) != set(counts):
+    if theta.values.keys() != set(canonical_keys(kind, order, spec)):
         raise ValueError("parameter and statistic index sets differ")
+    counts = stats.cond if kind == "cond" else stats.mod
     thetas = _pack(theta.values, _LAYOUT[kind], order, spec)
-    total = sum(
-        float(np.vdot(a, n)) for a, n in zip(thetas, _pack(counts, _LAYOUT[kind], order, spec))
-    )
+    total = sum(float(np.vdot(a, n)) for a, n in zip(thetas, counts))
     if kind == "mod":
         return total - stats.n_total * cumulant(theta, spec.names, spec)
+    totals = stats.cliq_totals if kind == "cliq" else stats.cond_totals
     for l, a in enumerate(thetas):
         if kind == "cliq":
             log_norms = _cliq_log_norms(a, order, l)
         else:
             log_norms = _slice_log_norms(_zeta(a, _res_axes(order, l)), order, l)
-        total -= float(np.vdot(log_norms, _slice_totals(stats, kind, l)))
+        total -= float(np.vdot(log_norms, totals[l]))
     return total

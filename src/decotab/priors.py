@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,13 +24,10 @@ from .params import (
     SufficientStats,
     ThetaMap,
     block_keys,
-    canonical_keys,
     cliq_from_mod,
     loglik,
 )
 from .tables import ContingencyTable, LevelSpec, iter_cells, subsets_with_empty
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -220,107 +217,59 @@ def sample_posterior(
 class FictitiousCounts:
     """Half-integer pseudo-counts that put the reference prior in conjugate form.
 
-    For the ``cond`` statistics, a cell of the first clique's table is backed
-    by half the number of table cells extending it; each residual slice is an
-    all-halves table of its own.  For ``cliq`` the per-slice tables aggregate
-    across slice supports.  Values are exact rationals.
+    They are the ``tag`` statistics (``cond`` or ``cliq``) of half a count in
+    every cell of every clique table (:meth:`SufficientStats.halves`), of
+    which each Dirichlet(1/2) block is one slice.  The views below read them
+    off as exact rationals; half-integers are exact in floats.
     """
 
     tag: str
-    order: CliqueOrder
-    spec: LevelSpec
-    entries: dict[ParamKey, Fraction]
-    totals: dict[tuple, Fraction]
-    grand_total: Fraction
+    stats: SufficientStats
 
-    def to_stats(self) -> SufficientStats:
-        order, spec = self.order, self.spec
-        mod: dict[ParamKey, float] = {}
-        cond: dict[ParamKey, float] = {}
-        cond_totals: dict[tuple[int, tuple[int, ...]], float] = {}
-        cliq_totals: dict[tuple[int, tuple[str, ...], tuple[int, ...]], float] = {}
-        if self.tag == "cond":
-            cond = {k: float(v) for k, v in self.entries.items()}
-            cond_totals = {k: float(v) for k, v in self.totals.items()}
-        else:
-            mod = {k: float(v) for k, v in self.entries.items()}
-            cliq_totals = {k: float(v) for k, v in self.totals.items()}
-        return SufficientStats(
-            order, spec, float(self.grand_total), mod, cond, cond_totals, cliq_totals
-        )
+    @property
+    def entries(self) -> dict[ParamKey, Fraction]:
+        """Pseudo-count per coordinate, in canonical key order."""
+        return {k: Fraction(v) for k, v in self.stats.entries(self.tag).items()}
 
+    @property
+    def totals(self) -> dict[tuple, Fraction]:
+        """Block totals of the later cliques.
 
-def _n_cells(spec: LevelSpec, vars_: Iterable[str]) -> int:
-    out = 1
-    for v in vars_:
-        out *= spec.size(v)
-    return out
+        ``cond``: one per slice, keyed ``(l, slice cell)``.  ``cliq``: one per
+        slice support, keyed ``(l, F, starred cell of F)``, F ⊆ S_l, empty first.
+        """
+        order, spec = self.stats.order, self.stats.spec
+        out: dict[tuple, Fraction] = {}
+        for l in range(1, order.k):
+            s_vars = order.separators[l]
+            if self.tag == "cond":
+                for s in iter_cells(s_vars, spec):
+                    out[(l + 1, s.levels)] = Fraction(self.stats.cond_totals[l][s.levels].item())
+                continue
+            for f in subsets_with_empty(s_vars):
+                for c in iter_cells(f, spec, starred=True):
+                    cell = tuple(c.levels[f.index(v)] if v in f else 0 for v in s_vars)
+                    out[(l + 1, f, c.levels)] = Fraction(self.stats.cliq_totals[l][cell].item())
+        return out
+
+    @property
+    def grand_total(self) -> Fraction:
+        return Fraction(self.stats.n_total)
 
 
 def fictitious_counts(tag: str, order: CliqueOrder, spec: LevelSpec) -> FictitiousCounts:
     """The prior pseudo-counts for the ``cond`` or ``cliq`` statistics.
 
-    cond: a marginal cell of the first clique on D counts |cells of C_1 \\ D|/2
-    with grand total |cells of C_1|/2; a slice cell on D counts
-    |cells of R_l \\ D|/2 with slice total |cells of R_l|/2.
-
-    cliq: a cell on slice-support F and residual set D counts
-    |cells of S_l \\ F| * |cells of R_l \\ D| / 2, with per-support total
-    |cells of S_l \\ F| * |cells of R_l| / 2.  The empty set has one cell.
+    Summing half a count per cell gives the closed forms.  cond: a marginal
+    cell of the first clique on D counts |cells of C_1 \\ D|/2 with grand
+    total |cells of C_1|/2; a slice cell on D counts |cells of R_l \\ D|/2
+    with slice total |cells of R_l|/2.  cliq: a cell on slice-support F and
+    residual set D counts |cells of S_l \\ F| * |cells of R_l \\ D| / 2, with
+    per-support total |cells of S_l \\ F| * |cells of R_l| / 2.
     """
     if tag not in ("cond", "cliq"):
         raise ValueError(f"unknown fictitious-count tag {tag!r}")
-    c1 = order.cliques[0]
-    entries: dict[ParamKey, Fraction] = {}
-    totals: dict[tuple, Fraction] = {}
-    grand = Fraction(_n_cells(spec, c1), 2)
-    if tag == "cond":
-        for key in canonical_keys("cond", order, spec):
-            if not key.given_vars and set(key.vars) <= set(c1):
-                rest = [v for v in c1 if v not in key.vars]
-            else:
-                l = _clique_of_residual(order, key.given_vars, key.vars)
-                r_vars = order.residuals[l - 1]
-                rest = [v for v in r_vars if v not in key.vars]
-            entries[key] = Fraction(_n_cells(spec, rest), 2)
-        for l in range(2, order.k + 1):
-            half_r = Fraction(_n_cells(spec, order.residuals[l - 1]), 2)
-            for s_cell in iter_cells(order.separators[l - 1], spec):
-                totals[(l, s_cell.levels)] = half_r
-    else:
-        for key in canonical_keys("mod", order, spec):
-            l = order.home(key.vars) + 1
-            if l == 1:
-                rest = [v for v in c1 if v not in key.vars]
-                entries[key] = Fraction(_n_cells(spec, rest), 2)
-            else:
-                s_vars = order.separators[l - 1]
-                r_vars = order.residuals[l - 1]
-                f = [v for v in key.vars if v in s_vars]
-                d = [v for v in key.vars if v in r_vars]
-                s_rest = [v for v in s_vars if v not in f]
-                r_rest = [v for v in r_vars if v not in d]
-                entries[key] = Fraction(
-                    _n_cells(spec, s_rest) * _n_cells(spec, r_rest), 2
-                )
-        for l in range(2, order.k + 1):
-            s_vars = order.separators[l - 1]
-            r_size = _n_cells(spec, order.residuals[l - 1])
-            for f in subsets_with_empty(s_vars):
-                s_rest = [v for v in s_vars if v not in f]
-                value = Fraction(_n_cells(spec, s_rest) * r_size, 2)
-                for f_cell in iter_cells(f, spec, starred=True):
-                    totals[(l, f, f_cell.levels)] = value
-    return FictitiousCounts(tag, order, spec, entries, totals, grand)
-
-
-def _clique_of_residual(
-    order: CliqueOrder, s_vars: tuple[str, ...], d: tuple[str, ...]
-) -> int:
-    for l in range(2, order.k + 1):
-        if order.separators[l - 1] == s_vars and set(d) <= set(order.residuals[l - 1]):
-            return l
-    raise KeyError(f"no residual block with separator {s_vars} containing {d}")
+    return FictitiousCounts(tag, SufficientStats.halves(order, spec))
 
 
 @dataclass(frozen=True)
@@ -349,7 +298,7 @@ class ThetaReferencePrior:
             raise ValueError(
                 f"prior on {self.tag!r} cannot evaluate a {theta.kind!r} point"
             )
-        return loglik(point, self.fictitious.to_stats()) - self.log_normalizer
+        return loglik(point, self.fictitious.stats) - self.log_normalizer
 
 
 def reference_prior_theta(

@@ -279,6 +279,15 @@ class TestExitCodes:
         pytest.param({}, VERIFY, {"DECOTAB_TOL": "abc"}, "DECOTAB_TOL", id="tol-not-a-number"),
         pytest.param({}, VERIFY, {"DECOTAB_TOL": "nan"}, "DECOTAB_TOL", id="tol-nan"),
         pytest.param({}, VERIFY, {"DECOTAB_TOL": "-1e-9"}, "DECOTAB_TOL", id="tol-negative"),
+        pytest.param({"model": b'{"variables": [{"name": "a", "levels": 2.7}], "edges": []}'},
+                     ("check", "--model", "{model}"), {}, "variables[0].levels",
+                     id="levels-a-float"),
+        pytest.param({"model": b'{"variables": [{"name": "a", "levels": "3"}], "edges": []}'},
+                     ("check", "--model", "{model}"), {}, "variables[0].levels",
+                     id="levels-a-string"),
+        pytest.param({"model": b'{"variables": [{"name": "a", "levels": true}], "edges": []}'},
+                     ("check", "--model", "{model}"), {}, "variables[0].levels",
+                     id="levels-a-bool"),
     ])
     def test_user_errors_exit_1_with_one_line(self, tmp_path, monkeypatch, files, argv, env,
                                               fragment):

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from decotab.graphs import perfect_order
 from decotab.params import (
     ParamKey,
+    SufficientStats,
+    block_keys,
     canonical_keys,
     cliq_from_cond,
+    cliq_from_mod,
+    loglik,
     mod_from_cliq,
     theta_cond_from_p,
 )
@@ -24,7 +28,15 @@ from decotab.priors import (
     sample_posterior,
 )
 from decotab.randgen import random_cond_probs, random_model, random_table
-from decotab.tables import CellIndex, ContingencyTable, ingest_rows, marginal_count, tabulate
+from decotab.tables import (
+    CellIndex,
+    ContingencyTable,
+    ingest_rows,
+    iter_cells,
+    marginal_count,
+    subsets_with_empty,
+    tabulate,
+)
 
 
 def half_log_prob_mass(cp):
@@ -351,3 +363,147 @@ class TestThetaPriors:
         for b in prior.blocks:
             want += sum(math.lgamma(0.5) for _ in range(b.dim)) - math.lgamma(b.dim / 2)
         assert prior.log_normalizer() == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Fictitious counts against their closed forms, and conjugacy
+
+
+def _n_cells(spec, vars_):
+    out = 1
+    for v in vars_:
+        out *= spec.size(v)
+    return out
+
+
+def _clique_of_residual(order, s_vars, d):
+    for l in range(2, order.k + 1):
+        if order.separators[l - 1] == s_vars and set(d) <= set(order.residuals[l - 1]):
+            return l
+    raise KeyError(f"no residual block with separator {s_vars} containing {d}")
+
+
+def closed_form_fictitious_counts(tag, order, spec):
+    """The pseudo-counts from their closed forms: (entries, totals, grand total).
+
+    cond: a marginal cell of the first clique on D counts |cells of C_1 \\ D|/2
+    with grand total |cells of C_1|/2; a slice cell on D counts
+    |cells of R_l \\ D|/2 with slice total |cells of R_l|/2.  cliq: a cell on
+    slice-support F and residual set D counts |cells of S_l \\ F| *
+    |cells of R_l \\ D| / 2, with per-support total |cells of S_l \\ F| *
+    |cells of R_l| / 2.
+    """
+    c1 = order.cliques[0]
+    entries, totals = {}, {}
+    grand = Fraction(_n_cells(spec, c1), 2)
+    if tag == "cond":
+        for key in canonical_keys("cond", order, spec):
+            if not key.given_vars and set(key.vars) <= set(c1):
+                rest = [v for v in c1 if v not in key.vars]
+            else:
+                l = _clique_of_residual(order, key.given_vars, key.vars)
+                r_vars = order.residuals[l - 1]
+                rest = [v for v in r_vars if v not in key.vars]
+            entries[key] = Fraction(_n_cells(spec, rest), 2)
+        for l in range(2, order.k + 1):
+            half_r = Fraction(_n_cells(spec, order.residuals[l - 1]), 2)
+            for s_cell in iter_cells(order.separators[l - 1], spec):
+                totals[(l, s_cell.levels)] = half_r
+    else:
+        for key in canonical_keys("mod", order, spec):
+            l = order.home(key.vars) + 1
+            if l == 1:
+                rest = [v for v in c1 if v not in key.vars]
+                entries[key] = Fraction(_n_cells(spec, rest), 2)
+            else:
+                s_vars = order.separators[l - 1]
+                r_vars = order.residuals[l - 1]
+                f = [v for v in key.vars if v in s_vars]
+                d = [v for v in key.vars if v in r_vars]
+                s_rest = [v for v in s_vars if v not in f]
+                r_rest = [v for v in r_vars if v not in d]
+                entries[key] = Fraction(_n_cells(spec, s_rest) * _n_cells(spec, r_rest), 2)
+        for l in range(2, order.k + 1):
+            s_vars = order.separators[l - 1]
+            r_size = _n_cells(spec, order.residuals[l - 1])
+            for f in subsets_with_empty(s_vars):
+                s_rest = [v for v in s_vars if v not in f]
+                value = Fraction(_n_cells(spec, s_rest) * r_size, 2)
+                for f_cell in iter_cells(f, spec, starred=True):
+                    totals[(l, f, f_cell.levels)] = value
+    return entries, totals, grand
+
+
+def model_with_wide_separator(seed, max_vertices=8):
+    """A random model with a separator of two or more variables of 3+ levels.
+
+    There the cells of a separator and its supports enumerate in different
+    orders, so key order is tested too.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        g, order, spec = random_model(rng, int(rng.integers(3, max_vertices + 1)), 4, 4)
+        if any(sum(spec.size(v) >= 3 for v in s) >= 2 for s in order.separators):
+            return g, order, spec
+    raise AssertionError("no model with a wide separator drawn")
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_fictitious_counts_equal_their_closed_forms(seed):
+    g, order, spec = model_with_wide_separator(seed)
+    for tag in ("cond", "cliq"):
+        fc = fictitious_counts(tag, order, spec)
+        entries, totals, grand = closed_form_fictitious_counts(tag, order, spec)
+        assert list(fc.entries.items()) == list(entries.items())
+        assert list(fc.totals.items()) == list(totals.items())
+        assert fc.grand_total == grand
+        assert all(type(v) is Fraction for v in [*fc.entries.values(), *fc.totals.values()])
+
+
+def posterior_stats(data, order, spec):
+    """Data statistics plus the prior's half counts, cell by cell."""
+    prior = SufficientStats.halves(order, spec)
+    tables = tuple(a + b for a, b in zip(data.tables, prior.tables))
+    return SufficientStats(order, spec, data.n_total + prior.n_total, tables)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 300))
+@settings(max_examples=20, deadline=None)
+def test_prior_is_the_likelihood_of_half_counts(seed, n_rows):
+    rng = np.random.default_rng(seed)
+    g, order, spec = random_model(rng, int(rng.integers(2, 7)), 3, 3)
+    cp = random_cond_probs(rng, order, spec)
+    t = random_table(rng, cp.joint(), n_rows)
+    data = SufficientStats.from_table(t, order)
+    post = posterior_stats(data, order, spec)
+
+    def points():
+        cond = theta_cond_from_p(random_cond_probs(rng, order, spec).joint(), order,
+                                 validate=False)
+        cliq = cliq_from_cond(cond, order, spec)
+        return {"cond": cond, "cliq": cliq, "mod": mod_from_cliq(cliq, order, spec)}
+
+    def post_loglik(kind, theta):
+        # Half counts in every clique table are not the margins of one full
+        # table, so the mod posterior is the cliq form at the same point.
+        if kind == "mod":
+            theta = cliq_from_mod(theta, order, spec)
+        return loglik(theta, post)
+
+    first, second = points(), points()
+    for kind in ("cond", "cliq", "mod"):
+        prior = reference_prior_theta(kind, order, spec)
+
+        def log_post(theta):
+            return loglik(theta, data) + prior.log_density(theta)
+
+        want = log_post(first[kind]) - log_post(second[kind])
+        got = post_loglik(kind, first[kind]) - post_loglik(kind, second[kind])
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    updated = posterior_update(reference_prior_pcond(order, spec), t)
+    for (l, s_levels), b in zip(block_keys(order, spec), updated.blocks):
+        table = post.tables[l - 1]
+        assert b.given_vars + b.vars == order.separators[l - 1] + order.residuals[l - 1]
+        assert list(b.alpha) == [table[s_levels + cell] for cell in b.cells]
