@@ -3,8 +3,11 @@
 A vertex subset A is a cut exactly when every connected component of the
 complement has a complete boundary.  The joint model then factorizes into
 the marginal model on the subgraph induced by A and, per component B, the
-conditional model of B given its boundary; the reference prior follows the
-same block structure with Dirichlet(1/2) on every block.
+conditional model of B given its boundary.  Both parts are clique/separator
+factorizations, the second with a conditioned first factor, so the whole cut
+factorization is one list of q(free | given) factors
+(:attr:`CutDecomposition.factors`).  The probabilities, the likelihood and
+the reference prior (Dirichlet(1/2) on every slice) all read that list.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from .graphs import (
     is_complete,
     perfect_order,
 )
-from .params import CondProbs, JointProbs, conditional_table, marginal_joint
-from .priors import DirichletBlock, DirichletBlocks, reference_prior_pcond
-from .tables import ContingencyTable, LevelSpec, iter_cells
+from .params import JointProbs, conditional_table
+from .priors import DirichletBlocks, Factor, clique_factors, half_blocks
+from .tables import ContingencyTable, LevelSpec
 
 
 class NotACutError(ValueError):
@@ -84,7 +87,7 @@ class CutDecomposition:
     components: tuple[ComponentModel, ...]
 
     def validate(self) -> None:
-        if not is_complete(self.graph, ()) or set(self.a) - set(self.graph.vertices):
+        if set(self.a) - set(self.graph.vertices):
             raise ValueError("cut set contains unknown vertices")
         covered: set[str] = set()
         for comp in self.components:
@@ -97,6 +100,24 @@ class CutDecomposition:
             covered |= set(comp.members)
         if covered != set(self.graph.vertices) - set(self.a):
             raise ValueError("components do not partition the complement")
+
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        """The cut factorization as one list of q(free | given) factors.
+
+        The clique factors of the marginal model on A, then per component B_i
+        its head (first clique minus the boundary, given the boundary) and
+        the factors of its later cliques.
+        """
+        out = clique_factors(self.order_a)
+        for i, comp in enumerate(self.components, start=1):
+            order = comp.order
+            out.append(Factor(comp.bd, comp.head_free, f"B{i}:head|"))
+            out += [
+                Factor(order.separators[j - 1], order.residuals[j - 1], f"B{i}:R{j}|")
+                for j in range(2, order.k + 1)
+            ]
+        return tuple(out)
 
 
 def cut_decomposition(g: LabeledGraph, a: Sequence[str]) -> CutDecomposition:
@@ -119,109 +140,40 @@ def cut_decomposition(g: LabeledGraph, a: Sequence[str]) -> CutDecomposition:
 
 @dataclass(frozen=True)
 class CutProbs:
-    """Probability blocks of the cut factorization.
+    """Probability tables of the cut factorization.
 
-    The marginal part is a clique/separator block set on the subgraph induced
-    by the cut; each component contributes one head block per boundary cell
-    (the first clique minus the boundary, conditioned on it) and one block
-    per separator slice of its later cliques.
+    ``tables[i]`` is q(free | given) of ``decomp.factors[i]``, stacked over
+    the cells of ``given`` with axes ``given + free``.
     """
 
     decomp: CutDecomposition
     spec: LevelSpec
-    a_part: CondProbs
-    heads: tuple[dict[tuple[int, ...], np.ndarray], ...]
-    resids: tuple[dict[tuple[int, tuple[int, ...]], np.ndarray], ...]
+    tables: tuple[np.ndarray, ...]
 
     @classmethod
     def from_joint(cls, p: JointProbs, decomp: CutDecomposition) -> "CutProbs":
-        a_marg = marginal_joint(p, decomp.a)
-        a_part = CondProbs.from_joint(a_marg, decomp.order_a)
-        heads = []
-        resids = []
-        for comp in decomp.components:
-            q = conditional_table(p, comp.bd, comp.head_free)
-            heads.append({b.levels: q[b.levels] for b in iter_cells(comp.bd, p.spec)})
-            resid: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-            for j in range(1, comp.order.k):
-                s_vars = comp.order.separators[j]
-                q = conditional_table(p, s_vars, comp.order.residuals[j])
-                for s in iter_cells(s_vars, p.spec):
-                    resid[(j + 1, s.levels)] = q[s.levels]
-            resids.append(resid)
-        return cls(decomp, p.spec, a_part, tuple(heads), tuple(resids))
+        tables = tuple(conditional_table(p, f.given, f.free) for f in decomp.factors)
+        return cls(decomp, p.spec, tables)
 
 
 def cut_loglik(decomp: CutDecomposition, probs: CutProbs, t: ContingencyTable) -> float:
-    """Log likelihood of the cut factorization: marginal part plus components.
+    """Log likelihood of the cut factorization: the sum over its factors.
 
-    Equals the joint log likelihood of the Markov distribution the blocks
+    Equals the joint log likelihood of the Markov distribution the tables
     assemble to.
     """
     if probs.decomp is not decomp and probs.decomp != decomp:
         raise ValueError("probability blocks belong to a different decomposition")
-
-    def part(given, free, blocks) -> float:
-        # Every slice's counts come from one marginal count table.
-        n = t.marginal(given, free)
-        return sum(float((n[s] * np.log(q)).sum()) for s, q in blocks.items())
-
-    def clique(blocks, l):
-        return {s: q for (m, s), q in blocks.items() if m == l + 1}
-
-    order_a = decomp.order_a
-    total = 0.0
-    for l in range(order_a.k):
-        total += part(order_a.separators[l], order_a.residuals[l],
-                      clique(probs.a_part.blocks, l))
-    for comp, head, resid in zip(decomp.components, probs.heads, probs.resids):
-        total += part(comp.bd, comp.head_free, head)
-        for j in range(1, comp.order.k):
-            total += part(comp.order.separators[j], comp.order.residuals[j],
-                          clique(resid, j))
-    return total
+    return sum(
+        float(np.vdot(t.marginal(f.given, f.free), np.log(q)))
+        for f, q in zip(decomp.factors, probs.tables)
+    )
 
 
 def cut_reference_prior(decomp: CutDecomposition, spec: LevelSpec) -> DirichletBlocks:
-    """Dirichlet(1/2) blocks mirroring the cut factorization.
+    """Dirichlet(1/2) on every slice of every factor of the cut factorization.
 
     The marginal part coincides with the ordinary reference prior of the
-    subgraph induced by the cut; each component adds one block per boundary
-    cell for its head table and one per separator slice for later cliques.
+    subgraph induced by the cut.
     """
-    a_spec = spec.restrict(decomp.a)
-    a_prior = reference_prior_pcond(decomp.order_a, a_spec)
-    blocks = list(a_prior.blocks)
-    for idx, comp in enumerate(decomp.components, start=1):
-        head_vars = comp.head_free
-        head_cells = tuple(c.levels for c in iter_cells(head_vars, spec))
-        for b_cell in iter_cells(comp.bd, spec):
-            inside = ",".join(f"{v}={x}" for v, x in zip(comp.bd, b_cell.levels))
-            blocks.append(
-                DirichletBlock(
-                    label=f"B{idx}:head|{inside}",
-                    vars=head_vars,
-                    given_vars=comp.bd,
-                    given_cell=b_cell.levels,
-                    cells=head_cells,
-                    alpha=(0.5,) * len(head_cells),
-                )
-            )
-        for j in range(2, comp.order.k + 1):
-            s_vars = comp.order.separators[j - 1]
-            r_vars = comp.order.residuals[j - 1]
-            r_cells = tuple(c.levels for c in iter_cells(r_vars, spec))
-            for s_cell in iter_cells(s_vars, spec):
-                inside = ",".join(f"{v}={x}" for v, x in zip(s_vars, s_cell.levels))
-                blocks.append(
-                    DirichletBlock(
-                        label=f"B{idx}:R{j}|{inside}",
-                        vars=r_vars,
-                        given_vars=s_vars,
-                        given_cell=s_cell.levels,
-                        cells=r_cells,
-                        alpha=(0.5,) * len(r_cells),
-                    )
-                )
-    grouping = tuple((i,) for i in range(len(blocks)))
-    return DirichletBlocks(spec, tuple(blocks), grouping)
+    return half_blocks(decomp.factors, spec)

@@ -397,11 +397,8 @@ def condprobs_from_dict(
         want = _block_cells(vars_, spec)
         if tuple(cells) != want or len(probs) != len(want):
             raise FileFormatError(f"{source}: blocks[{i}] cell list mismatch")
-        shape = tuple(spec.size(v) for v in vars_)
-        arr = np.empty(shape, dtype=float)
-        for levels, value in zip(cells, probs):
-            arr[levels] = value
-        blocks[(l, s_levels)] = arr
+        # The cells run first variable fastest: Fortran order of the block axes.
+        blocks[(l, s_levels)] = np.reshape(probs, tuple(spec.size(v) for v in vars_), order="F")
     if set(blocks) != set(expected):
         raise FileFormatError(f"{source}: block set does not match the model")
     try:

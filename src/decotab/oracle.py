@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import CliqueOrder, LabeledGraph
 from .params import JointProbs, ParamKey, ThetaMap
-from .tables import CellIndex, ContingencyTable, LevelSpec, TableTooLargeError
+from .tables import CellIndex, ContingencyTable, LevelSpec, TableTooLargeError, marginal_count
 
 ORACLE_MAX_CELLS = 10**6
 
@@ -274,7 +274,7 @@ def run_verification(
 
         cells = [c for d in [order.cliques[0], spec.names[-2:]] for c in iter_cells(d, spec)]
         dev = max(
-            abs(brute_marginal_count(t, c) - _prod_marginal(t, c)) for c in cells
+            abs(brute_marginal_count(t, c) - marginal_count(t, c)) for c in cells
         )
         add(f"{name}: marginal counts vs full enumeration", dev, 0.0)
 
@@ -417,12 +417,6 @@ def run_verification(
             add(f"{name}: marginal over a cut keeps its zero constraints", dev, base_tol)
 
     return VerificationReport(tuple(checks))
-
-
-def _prod_marginal(t: ContingencyTable, cell: CellIndex) -> int:
-    from .tables import marginal_count
-
-    return marginal_count(t, cell)
 
 
 def _zero_table(spec: LevelSpec) -> ContingencyTable:

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,12 +81,6 @@ class DirichletBlocks:
     blocks: tuple[DirichletBlock, ...]
     grouping: tuple[tuple[int, ...], ...]
 
-    def block(self, label: str) -> DirichletBlock:
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
     def log_normalizer(self) -> float:
         return sum(b.log_beta() for b in self.blocks)
 
@@ -103,11 +97,47 @@ class DirichletBlocks:
         return total
 
 
-def _slice_label(l: int, s_vars: tuple[str, ...], s_cell: tuple[int, ...]) -> str:
-    if not s_vars:
-        return f"C{l}"
-    inside = ",".join(f"{v}={x}" for v, x in zip(s_vars, s_cell))
-    return f"R{l}|{inside}"
+class Factor(NamedTuple):
+    """One factor q(free | given) of a factorization.
+
+    Its blocks are the slices at each cell of ``given``, labelled ``label``
+    followed by the slice cell (nothing for an empty ``given``).
+    """
+
+    given: tuple[str, ...]
+    free: tuple[str, ...]
+    label: str
+
+
+def clique_factors(order: CliqueOrder) -> list[Factor]:
+    """The clique/separator factorization: q(R_l | S_l) for every clique."""
+    return [
+        Factor(s, r, f"R{l}|" if s else f"C{l}")
+        for l, (s, r) in enumerate(zip(order.separators, order.residuals), start=1)
+    ]
+
+
+def half_blocks(
+    factors: Sequence[Factor], spec: LevelSpec, *, merge_slices: bool = False
+) -> DirichletBlocks:
+    """Dirichlet(1/2,...,1/2) on every slice of every factor, in factor order.
+
+    With ``merge_slices`` the slices of each factor are recorded as a single
+    reference-prior group; the density is identical either way.
+    """
+    blocks: list[DirichletBlock] = []
+    grouping: list[tuple[int, ...]] = []
+    for f in factors:
+        cells = tuple(c.levels for c in iter_cells(f.free, spec))
+        first = len(blocks)
+        for s in iter_cells(f.given, spec):
+            inside = ",".join(f"{v}={x}" for v, x in zip(f.given, s.levels))
+            blocks.append(DirichletBlock(
+                f.label + inside, f.free, f.given, s.levels, cells, (0.5,) * len(cells)
+            ))
+        ids = tuple(range(first, len(blocks)))
+        grouping += [ids] if merge_slices else [(i,) for i in ids]
+    return DirichletBlocks(spec, tuple(blocks), tuple(grouping))
 
 
 def reference_prior_pcond(
@@ -115,34 +145,9 @@ def reference_prior_pcond(
 ) -> DirichletBlocks:
     """Dirichlet(1/2,...,1/2) on every clique/separator factorization block.
 
-    With ``merge_slices`` the slices of each residual are recorded as a
-    single reference-prior group; the density is identical either way.
+    With ``merge_slices`` the slices of each residual form one group.
     """
-    blocks = []
-    group_of: list[int] = []
-    for l, s_levels in block_keys(order, spec):
-        if l == 1:
-            vars_, given_vars = order.cliques[0], ()
-        else:
-            vars_, given_vars = order.residuals[l - 1], order.separators[l - 1]
-        cells = tuple(c.levels for c in iter_cells(vars_, spec))
-        blocks.append(
-            DirichletBlock(
-                label=_slice_label(l, given_vars, s_levels),
-                vars=vars_,
-                given_vars=given_vars,
-                given_cell=s_levels,
-                cells=cells,
-                alpha=(0.5,) * len(cells),
-            )
-        )
-        group_of.append(l if merge_slices else len(blocks))
-    grouping: dict[int, list[int]] = {}
-    for i, gid in enumerate(group_of):
-        grouping.setdefault(gid, []).append(i)
-    return DirichletBlocks(
-        spec, tuple(blocks), tuple(tuple(g) for g in grouping.values())
-    )
+    return half_blocks(clique_factors(order), spec, merge_slices=merge_slices)
 
 
 def posterior_update(prior: DirichletBlocks, t: ContingencyTable) -> DirichletBlocks:

@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decotab.cuts import (
     CutProbs,
@@ -9,15 +14,17 @@ from decotab.cuts import (
     cut_reference_prior,
     is_cut,
 )
-from decotab.graphs import induced_subgraph, is_complete, perfect_order
+from decotab.graphs import LabeledGraph, induced_subgraph, is_complete, perfect_order
 from decotab.oracle import brute_markov_residual, direct_loglik
-from decotab.params import marginal_joint
-from decotab.priors import reference_prior_pcond
+from decotab.params import block_keys, marginal_joint
+from decotab.priors import DirichletBlock, DirichletBlocks, reference_prior_pcond
 from decotab.randgen import (
     random_cond_probs,
     random_decomposable_graph,
+    random_model,
     random_table,
 )
+from decotab.tables import LevelSpec, iter_cells
 
 
 class TestIsCut:
@@ -90,6 +97,12 @@ class TestCutDecomposition:
         assert len(dec.components) == 1
         assert dec.components[0].members == ("f",)
         assert dec.components[0].order.cliques == (("e", "f"),)
+
+    def test_unknown_cut_vertex_fails_validation(self, branch11):
+        g, _ = branch11
+        dec = cut_decomposition(g, ("1", "2", "3", "4"))
+        with pytest.raises(ValueError, match="unknown vertices"):
+            dataclasses.replace(dec, a=dec.a + ("12",)).validate()
 
     def test_not_a_cut_raises_with_witness(self, branch11):
         g, _ = branch11
@@ -207,3 +220,121 @@ class TestCollapsibility:
             pa = marginal_joint(p, a)
             _, worst = brute_markov_residual(pa, induced_subgraph(g, a))
             assert worst < 1e-9
+
+
+class TestFactorList:
+    def test_disconnected_component_has_an_unconditioned_head(self):
+        g = LabeledGraph.make(("a", "b", "c", "d"), [("a", "b"), ("c", "d")])
+        spec = LevelSpec(g.vertices, (2, 3, 2, 2))
+        dec = cut_decomposition(g, ("a",))
+        assert [(f.given, f.free, f.label) for f in dec.factors] == [
+            ((), ("a",), "C1"),
+            (("a",), ("b",), "B1:head|"),
+            ((), ("c", "d"), "B2:head|"),
+        ]
+        pri = cut_reference_prior(dec, spec)
+        assert [b.label for b in pri.blocks] == [
+            "C1", "B1:head|a=0", "B1:head|a=1", "B2:head|",
+        ]
+        assert [b.dim for b in pri.blocks] == [2, 3, 3, 4]
+
+
+# The block loops the factor list replaced, kept as references.
+
+
+def _slice_label(l, s_vars, s_cell):
+    if not s_vars:
+        return f"C{l}"
+    inside = ",".join(f"{v}={x}" for v, x in zip(s_vars, s_cell))
+    return f"R{l}|{inside}"
+
+
+def reference_prior_pcond_by_slices(order, spec, merge_slices=False):
+    blocks = []
+    group_of = []
+    for l, s_levels in block_keys(order, spec):
+        if l == 1:
+            vars_, given_vars = order.cliques[0], ()
+        else:
+            vars_, given_vars = order.residuals[l - 1], order.separators[l - 1]
+        cells = tuple(c.levels for c in iter_cells(vars_, spec))
+        blocks.append(DirichletBlock(
+            _slice_label(l, given_vars, s_levels), vars_, given_vars, s_levels,
+            cells, (0.5,) * len(cells),
+        ))
+        group_of.append(l if merge_slices else len(blocks))
+    grouping = {}
+    for i, gid in enumerate(group_of):
+        grouping.setdefault(gid, []).append(i)
+    return DirichletBlocks(spec, tuple(blocks), tuple(tuple(g) for g in grouping.values()))
+
+
+def cut_reference_prior_by_slices(decomp, spec):
+    blocks = list(reference_prior_pcond_by_slices(decomp.order_a, spec.restrict(decomp.a)).blocks)
+    for idx, comp in enumerate(decomp.components, start=1):
+        head_cells = tuple(c.levels for c in iter_cells(comp.head_free, spec))
+        for b_cell in iter_cells(comp.bd, spec):
+            inside = ",".join(f"{v}={x}" for v, x in zip(comp.bd, b_cell.levels))
+            blocks.append(DirichletBlock(
+                f"B{idx}:head|{inside}", comp.head_free, comp.bd, b_cell.levels,
+                head_cells, (0.5,) * len(head_cells),
+            ))
+        for j in range(2, comp.order.k + 1):
+            s_vars = comp.order.separators[j - 1]
+            r_vars = comp.order.residuals[j - 1]
+            r_cells = tuple(c.levels for c in iter_cells(r_vars, spec))
+            for s_cell in iter_cells(s_vars, spec):
+                inside = ",".join(f"{v}={x}" for v, x in zip(s_vars, s_cell.levels))
+                blocks.append(DirichletBlock(
+                    f"B{idx}:R{j}|{inside}", r_vars, s_vars, s_cell.levels,
+                    r_cells, (0.5,) * len(r_cells),
+                ))
+    return DirichletBlocks(spec, tuple(blocks), tuple((i,) for i in range(len(blocks))))
+
+
+def _inventory(pri):
+    rows = [(b.label, b.vars, b.given_vars, b.given_cell, b.cells, b.alpha) for b in pri.blocks]
+    return rows, pri.grouping
+
+
+def _model(seed, isolated):
+    """A random decomposable model, optionally with one extra isolated vertex."""
+    rng = np.random.default_rng(seed)
+    g, order, spec = random_model(rng, int(rng.integers(2, 7)))
+    if isolated:
+        g = LabeledGraph.make(g.vertices + ("z",), g.edge_pairs())
+        spec = LevelSpec(g.vertices, spec.sizes + (int(rng.integers(2, 4)),))
+        order = perfect_order(g)
+    return rng, g, order, spec
+
+
+def _cuts(g):
+    for r in range(1, len(g.vertices) + 1):
+        for a in itertools.combinations(g.vertices, r):
+            if is_cut(g, a).is_cut:
+                yield cut_decomposition(g, a)
+
+
+@given(seed=st.integers(0, 2**32 - 1), isolated=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_factor_list_priors_match_the_slice_loops(seed, isolated):
+    _, g, order, spec = _model(seed, isolated)
+    for merge in (False, True):
+        assert _inventory(reference_prior_pcond(order, spec, merge_slices=merge)) == _inventory(
+            reference_prior_pcond_by_slices(order, spec, merge)
+        )
+    for dec in _cuts(g):
+        assert _inventory(cut_reference_prior(dec, spec)) == _inventory(
+            cut_reference_prior_by_slices(dec, spec)
+        )
+
+
+@given(seed=st.integers(0, 2**32 - 1), isolated=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_cut_loglik_equals_the_joint_likelihood_for_every_cut(seed, isolated):
+    rng, g, order, spec = _model(seed, isolated)
+    p = random_cond_probs(rng, order, spec).joint()
+    t = random_table(rng, p, 200)
+    direct = direct_loglik(p, t)
+    for dec in _cuts(g):
+        assert abs(cut_loglik(dec, CutProbs.from_joint(p, dec), t) - direct) < 1e-10 * 200
