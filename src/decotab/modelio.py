@@ -10,6 +10,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 from fractions import Fraction
 from importlib import resources
@@ -337,6 +338,8 @@ def theta_from_dict(doc: dict, order: CliqueOrder, spec: LevelSpec, source: str 
             value = float(entry["value"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FileFormatError(f"{source}: entries[{i}] malformed ({exc})") from exc
+        if not math.isfinite(value):
+            raise FileFormatError(f"{source}: entries[{i}].value is {value}, not a finite number")
         values[ParamKey(vars_, cell, gvars, gcell)] = value
     expected = set(canonical_keys(kind, order, spec))
     if set(values) != expected:

@@ -32,7 +32,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -352,22 +352,27 @@ def _layout(
     return tuple(out)
 
 
+def _pack_clique(
+    values: dict[ParamKey, float], layout: str, order: CliqueOrder, spec: LevelSpec, l: int
+) -> np.ndarray:
+    """Clique ``l``'s array over S_l + R_l of a coordinate or statistic map; other cells hold 0."""
+    keys, flat = _layout(layout, order, spec)[l]
+    a = np.zeros(_shape(spec, order.separators[l] + order.residuals[l]))
+    try:
+        a.flat[flat] = [values[k] for k in keys]
+    except KeyError as exc:
+        raise ValueError(
+            f"missing coordinate (set, cell, slice set, slice cell)"
+            f" {tuple(exc.args[0])} for clique {l + 1}"
+        ) from None
+    return a
+
+
 def _pack(
     values: dict[ParamKey, float], layout: str, order: CliqueOrder, spec: LevelSpec
 ) -> list[np.ndarray]:
     """Per-clique arrays of a coordinate or statistic map; other cells hold 0."""
-    arrays = []
-    for l, (keys, flat) in enumerate(_layout(layout, order, spec)):
-        a = np.zeros(_shape(spec, order.separators[l] + order.residuals[l]))
-        try:
-            a.flat[flat] = [values[k] for k in keys]
-        except KeyError as exc:
-            raise ValueError(
-                f"missing coordinate (set, cell, slice set, slice cell)"
-                f" {tuple(exc.args[0])} for clique {l + 1}"
-            ) from None
-        arrays.append(a)
-    return arrays
+    return [_pack_clique(values, layout, order, spec, l) for l in range(order.k)]
 
 
 def _unpack(
@@ -599,6 +604,36 @@ def _cliq_log_norms(cliq: np.ndarray, order: CliqueOrder, l: int) -> np.ndarray:
     return _mobius(_slice_log_norms(xi, order, l), _sep_axes(order, l))
 
 
+@functools.lru_cache(maxsize=64)
+def _separator_keys(
+    order: CliqueOrder, spec: LevelSpec
+) -> tuple[tuple[tuple[ParamKey, ...], np.ndarray], ...]:
+    """Per clique: the ``mod`` key of each off-baseline separator cell, and its flat cell over S_l.
+
+    The key is the cell's support with its levels there: the coordinate that
+    the slice log normalizer at that cell corrects.
+    """
+    out = []
+    for s_vars in order.separators:
+        keys = tuple(
+            ParamKey(e, c.levels)
+            for e in nonempty_subsets(s_vars)
+            for c in iter_cells(e, spec, starred=True)
+        )
+        flat = _flat_cells(keys, s_vars, spec) if keys else np.zeros(0, dtype=np.intp)
+        flat.flags.writeable = False
+        out.append((keys, flat))
+    return tuple(out)
+
+
+def _separator_corrections(
+    cliq: np.ndarray, order: CliqueOrder, spec: LevelSpec, l: int
+) -> Iterable[tuple[ParamKey, float]]:
+    """Pairs (``mod`` key, log normalizer) for clique ``l``'s off-baseline separator cells."""
+    keys, flat = _separator_keys(order, spec)[l]
+    return zip(keys, _cliq_log_norms(cliq, order, l).reshape(-1)[flat].tolist())
+
+
 def mod_from_cliq(cliq: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> ThetaMap:
     """Joint-table interactions from clique-marginal ones, clique by clique.
 
@@ -612,23 +647,33 @@ def mod_from_cliq(cliq: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> ThetaM
     arrays = _pack(cliq.values, "mod", order, spec)
     values = _unpack(arrays, "mod", order, spec)
     for l in range(1, order.k):
-        log_norms = _cliq_log_norms(arrays[l], order, l)
-        for s in iter_cells(order.separators[l], spec):
-            if supp := s.support():
-                values[ParamKey(supp, s.restrict(supp).levels)] -= float(log_norms[s.levels])
+        for key, log_norm in _separator_corrections(arrays[l], order, spec, l):
+            values[key] -= log_norm
     return ThetaMap("mod", values)
 
 
 def cliq_from_mod(mod: ThetaMap, order: CliqueOrder, spec: LevelSpec) -> ThetaMap:
-    """Clique-marginal interactions from joint ones, by composition.
+    """Clique-marginal interactions from joint ones, by backward peeling.
 
-    Goes through the joint table and the slice-wise coordinates; the exact
-    inverse of :func:`mod_from_cliq` up to rounding.
+    The exact inverse of :func:`mod_from_cliq`, with no joint table: walk the
+    cliques from last to first, take each clique's separator log normalizers
+    from its running coordinates and add them back to the coordinates on
+    the separator's subsets, whose home clique is earlier.  Every correction
+    from a later clique is in place before a clique's own normalizers are
+    taken (the collect pass of Lauritzen & Spiegelhalter 1988).  The cost is
+    the total size of the clique tables.
     """
     _expect_kind(mod, "mod")
-    p = p_from_theta_mod(mod, order.graph(), spec)
-    cond = theta_cond_from_p(p, order, validate=False)
-    return cliq_from_cond(cond, order, spec)
+    g = order.graph()
+    for key in mod.values:
+        if not is_complete(g, key.vars):
+            raise ValueError(f"coordinate on non-complete set {key.vars}")
+    values = _unpack(_pack(mod.values, "mod", order, spec), "mod", order, spec)
+    for l in range(order.k - 1, 0, -1):
+        a = _pack_clique(values, "mod", order, spec, l)
+        for key, log_norm in _separator_corrections(a, order, spec, l):
+            values[key] += log_norm
+    return ThetaMap("cliq", values)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +748,9 @@ class SufficientStats:
 def loglik(theta: ThetaMap, stats: SufficientStats) -> float:
     """Log density (multinomial coefficient excluded) in the map's own coordinates.
 
-    ⟨θ, N⟩ minus, per block, its total times its log normalizer.  The three
+    ⟨θ, N⟩ minus, per block, its total times its log normalizer.  A ``mod``
+    map is first peeled to ``cliq`` by :func:`cliq_from_mod`, the exact
+    inverse of :func:`mod_from_cliq`, so no joint table is built.  The three
     parametrizations agree with each other and with the direct sum of count
     times log probability.
     """
@@ -713,11 +760,11 @@ def loglik(theta: ThetaMap, stats: SufficientStats) -> float:
     order, spec = stats.order, stats.spec
     if theta.values.keys() != set(canonical_keys(kind, order, spec)):
         raise ValueError("parameter and statistic index sets differ")
+    if kind == "mod":
+        return loglik(cliq_from_mod(theta, order, spec), stats)
     counts = stats.cond if kind == "cond" else stats.mod
     thetas = _pack(theta.values, _LAYOUT[kind], order, spec)
     total = sum(float(np.vdot(a, n)) for a, n in zip(thetas, counts))
-    if kind == "mod":
-        return total - stats.n_total * cumulant(theta, spec.names, spec)
     totals = stats.cliq_totals if kind == "cliq" else stats.cond_totals
     for l, a in enumerate(thetas):
         if kind == "cliq":

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from decotab.cli import main
+from decotab.graphs import perfect_order
+from decotab.modelio import load_fixture, theta_to_dict
+from decotab.params import ThetaMap, canonical_keys
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,6 +25,16 @@ def run(*argv):
 
 def golden_match(name, got):
     assert got == (GOLDEN / name).read_text()
+
+
+def chain3_dump(kind, first_value):
+    """A chain3 parameter dump of ``kind``: zeros, except ``first_value`` in the first entry."""
+    g, spec = load_fixture("chain3")
+    order = perfect_order(g)
+    zero = ThetaMap(kind, dict.fromkeys(canonical_keys(kind, order, spec), 0.0))
+    doc = theta_to_dict(zero, order, spec)
+    doc["entries"][0]["value"] = first_value
+    return json.dumps(doc).encode()
 
 
 class TestCheck:
@@ -100,6 +113,18 @@ class TestTransform:
         )
         assert code == 0
         assert json.loads(out2)["kind"] == "cliq"
+
+    @pytest.mark.parametrize("to", ["cliq", "cond", "xi"])
+    def test_large_mod_coordinate_converts_in_log_space(self, tmp_path, to):
+        # One coordinate of 800 underflows a probability table; the log-space
+        # targets need none and stay finite.
+        dump = tmp_path / "mod.json"
+        dump.write_bytes(chain3_dump("mod", 800.0))
+        code, out, err = run("transform", "--model", "chain3", "--from", "mod", "--to", to,
+                             "--params", str(dump))
+        assert code == 0, err
+        values = [e["value"] for e in json.loads(out)["entries"]]
+        assert all(math.isfinite(v) for v in values) and 800.0 in values
 
     def test_kind_mismatch_exits_1(self, pcond_dump):
         code, _, err = run(
@@ -253,6 +278,11 @@ class TestExitCodes:
     PCOND = ("transform", "--model", "chain3", "--from", "pcond", "--to", "xi",
              "--params", "{params}")
     VERIFY = ("verify", "--graph", "chain3")
+    MOD_CLIQ = ("transform", "--model", "chain3", "--from", "mod", "--to", "cliq",
+                "--params", "{params}")
+    LOGLIK_COND = ("loglik", "--model", "chain3", "--data", "{data}", "--as", "cond",
+                   "--params", "{params}")
+    ROWS = b"a,b,c\n0,1,0\n1,1,0\n"
 
     @pytest.mark.parametrize("files, argv, env, fragment", [
         pytest.param({"model": NOT_UTF8}, ("check", "--model", "{model}"), {},
@@ -288,6 +318,16 @@ class TestExitCodes:
         pytest.param({"model": b'{"variables": [{"name": "a", "levels": true}], "edges": []}'},
                      ("check", "--model", "{model}"), {}, "variables[0].levels",
                      id="levels-a-bool"),
+        pytest.param({"params": chain3_dump("mod", math.nan)}, MOD_CLIQ, {},
+                     "params.json: entries[0].value is nan", id="mod-value-nan"),
+        pytest.param({"params": chain3_dump("mod", math.inf)}, MOD_CLIQ, {},
+                     "params.json: entries[0].value is inf", id="mod-value-infinity"),
+        pytest.param({"params": chain3_dump("cond", math.nan), "data": ROWS}, LOGLIK_COND, {},
+                     "params.json: entries[0].value is nan", id="cond-value-nan"),
+        pytest.param({"params": chain3_dump("cond", math.inf), "data": ROWS}, LOGLIK_COND, {},
+                     "params.json: entries[0].value is inf", id="cond-value-infinity"),
+        pytest.param({"params": chain3_dump("cond", -math.inf), "data": ROWS}, LOGLIK_COND, {},
+                     "params.json: entries[0].value is -inf", id="cond-value-minus-infinity"),
     ])
     def test_user_errors_exit_1_with_one_line(self, tmp_path, monkeypatch, files, argv, env,
                                               fragment):
@@ -322,20 +362,27 @@ class TestOversizedModel:
         draw = json.loads(out)["draws"][0]
         assert draw["kind"] == "mod" and len(draw["entries"]) == 41
 
-    def test_transform_to_cliq_names_the_limit(self, chain21, tmp_path):
-        from decotab.graphs import perfect_order
-        from decotab.modelio import load_model, theta_to_dict, to_json_text
-        from decotab.params import ThetaMap, canonical_keys
+    def test_transform_from_mod_runs_clique_locally(self, chain21, tmp_path):
+        from decotab.modelio import load_model, to_json_text
 
         g, spec = load_model(chain21)
         order = perfect_order(g)
         zero = ThetaMap("mod", dict.fromkeys(canonical_keys("mod", order, spec), 0.0))
         dump = tmp_path / "mod.json"
         dump.write_text(to_json_text(theta_to_dict(zero, order, spec)))
-        code, _, err = run("transform", "--model", str(chain21), "--from", "mod",
-                           "--to", "cliq", "--params", str(dump))
-        assert code == 1
-        assert err.count("\n") == 1 and "1000000" in err
+        code, out, err = run("transform", "--model", str(chain21), "--from", "mod",
+                             "--to", "cliq", "--params", str(dump))
+        assert code == 0, err
+        cliq = json.loads(out)
+        assert max(abs(e["value"]) for e in cliq["entries"]) < 1e-12
+        (tmp_path / "cliq.json").write_text(out)
+        code, out, err = run("transform", "--model", str(chain21), "--from", "cliq",
+                             "--to", "mod", "--params", str(tmp_path / "cliq.json"))
+        assert code == 0, err
+        back = json.loads(out)["entries"]
+        want = json.loads(dump.read_text())["entries"]
+        assert [(e["set"], e["cell"]) for e in back] == [(e["set"], e["cell"]) for e in want]
+        assert max(abs(a["value"] - b["value"]) for a, b in zip(back, want)) < 1e-9
 
     def test_verify_names_the_limit(self, chain21):
         code, _, err = run("verify", "--graph", str(chain21))
@@ -396,20 +443,21 @@ class TestOversizedModel:
         direct = math.fsum(terms)
         assert abs(json.loads(out)["loglik"] - direct) <= 1e-12 * abs(direct)
 
-    def test_mod_loglik_names_the_limit(self, chain21, rows21, tmp_path):
-        from decotab.graphs import perfect_order
-        from decotab.modelio import load_model, theta_to_dict, to_json_text
-        from decotab.params import ThetaMap, canonical_keys
-
-        g, spec = load_model(chain21)
-        order = perfect_order(g)
-        zero = ThetaMap("mod", dict.fromkeys(canonical_keys("mod", order, spec), 0.0))
-        dump = tmp_path / "mod.json"
-        dump.write_text(to_json_text(theta_to_dict(zero, order, spec)))
-        code, _, err = run("loglik", "--model", str(chain21), "--data", str(rows21[1]),
-                           "--as", "mod", "--params", str(dump))
-        assert code == 1
-        assert err.count("\n") == 1 and "1000000" in err
+    def test_mod_loglik_equals_cliq_loglik(self, chain21, rows21, tmp_path):
+        # One seeded draw, dumped in both kinds: ``loglik --as mod`` peels the
+        # mod point back to cliq and must land on the direct cliq value.
+        value = {}
+        for kind in ("mod", "cliq"):
+            code, out, _ = run("sample", "--model", str(chain21), "--n", "1", "--seed", "5",
+                               "--as", kind)
+            assert code == 0
+            (tmp_path / f"{kind}.json").write_text(json.dumps(json.loads(out)["draws"][0]))
+            code, out, err = run("loglik", "--model", str(chain21), "--data", str(rows21[1]),
+                                 "--as", kind, "--params", str(tmp_path / f"{kind}.json"),
+                                 "--format", "json")
+            assert code == 0, err
+            value[kind] = json.loads(out)["loglik"]
+        assert abs(value["mod"] - value["cliq"]) <= 1e-12 * abs(value["cliq"])
 
 
 class TestSampleEdges:

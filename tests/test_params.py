@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decotab import params
 from decotab.graphs import LabeledGraph, is_complete, perfect_order
 from decotab.oracle import brute_markov_residual, brute_theta, direct_loglik
 from decotab.params import (
@@ -504,6 +505,63 @@ def test_mod_coordinates_match_oracle(seed):
     cliq = cliq_from_cond(theta_cond_from_p(markov, order), order, spec)
     for key, val in mod_from_cliq(cliq, order, spec).values.items():
         assert abs(val - brute_theta(markov, key.vars, CellIndex(key.vars, key.cell))) < 1e-10
+
+
+def full_table_cliq_from_mod(mod, order, spec):
+    """The route through the joint table that backward peeling replaces."""
+    p = p_from_theta_mod(mod, order.graph(), spec)
+    return cliq_from_cond(theta_cond_from_p(p, order, validate=False), order, spec)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_peeled_cliq_from_mod_matches_the_full_table_route(seed):
+    rng = np.random.default_rng(seed)
+    g, order, spec = random_model(rng, int(rng.integers(2, 8)))
+    keys = canonical_keys("mod", order, spec)
+    mod = ThetaMap("mod", dict(zip(keys, rng.normal(scale=2.0, size=len(keys)).tolist())))
+    cliq = cliq_from_mod(mod, order, spec)
+    assert list(cliq.values) == canonical_keys("cliq", order, spec)
+    assert cliq.max_abs_diff(full_table_cliq_from_mod(mod, order, spec)) < 1e-10
+    assert mod.max_abs_diff(mod_from_cliq(cliq, order, spec)) < 1e-9
+
+
+class TestPeeling:
+    def test_refuses_a_missing_key_by_name(self, chain3):
+        g, spec = chain3
+        order = perfect_order(g)
+        mod = ThetaMap("mod", dict.fromkeys(canonical_keys("mod", order, spec), 0.0))
+        del mod.values[ParamKey(("b", "c"), (1, 1))]
+        with pytest.raises(ValueError, match=r"\('b', 'c'\), \(1, 1\)"):
+            cliq_from_mod(mod, order, spec)
+
+    def test_refuses_noncomplete_keys(self, chain3):
+        g, spec = chain3
+        order = perfect_order(g)
+        mod = ThetaMap("mod", dict.fromkeys(canonical_keys("mod", order, spec), 0.0))
+        mod.values[ParamKey(("a", "c"), (1, 1))] = 0.5
+        with pytest.raises(ValueError, match="non-complete"):
+            cliq_from_mod(mod, order, spec)
+
+    def test_200_variable_chain_builds_no_full_table(self, monkeypatch):
+        names = tuple(f"v{i:03d}" for i in range(200))
+        g = LabeledGraph.from_cliques(names, zip(names, names[1:]))
+        order = perfect_order(g)
+        spec = LevelSpec(names, (2,) * 200)
+        keys = canonical_keys("cliq", order, spec)
+        rng = np.random.default_rng(200)
+        cliq = ThetaMap("cliq", dict(zip(keys, rng.normal(size=len(keys)).tolist())))
+        stats = SufficientStats.halves(order, spec)
+
+        def full_table(*args, **kwargs):
+            raise AssertionError("built a full-table object")
+
+        monkeypatch.setattr(params.JointProbs, "__post_init__", full_table)
+        monkeypatch.setattr(params, "check_cells", full_table)
+        mod = mod_from_cliq(cliq, order, spec)
+        assert cliq.max_abs_diff(cliq_from_mod(mod, order, spec)) < 1e-9
+        want = loglik(cliq, stats)
+        assert abs(loglik(mod, stats) - want) <= 1e-12 * abs(want)
 
 
 class TestJointProbsValidation:
